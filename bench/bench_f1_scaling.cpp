@@ -238,7 +238,7 @@ void simd_isa_scaling(MetricList& report) {
   double t_scalar = 0.0;
   double best = 1.0;
   for (ff::KernelIsa isa :
-       {ff::KernelIsa::kScalar, ff::KernelIsa::kSse41, ff::KernelIsa::kAvx2,
+       {ff::KernelIsa::kScalar, ff::KernelIsa::kAvx2,
         ff::KernelIsa::kAvx512}) {
     if (!ff::kernel_isa_supported(isa)) continue;
     ff::set_kernel_isa(isa);

@@ -173,7 +173,7 @@ int main() {
       ptrs.push_back(sims.back().get());
     }
     sampling::TemperatureReplicaExchange remd(
-        ptrs, temps, 20, 7, ExecutionConfig{kRemdThreads, true});
+        ptrs, temps, 20, 7, ExecutionConfig{kRemdThreads});
     CrossingCounter cc;
     size_t done = 0;
     // Replicas run concurrently on partitioned sub-tori (ablation A1), so

@@ -248,7 +248,7 @@ void kernel_throughput_report() {
     double scalar_s = 0.0;
     double best_speedup = 1.0;
     for (ff::KernelIsa isa :
-         {ff::KernelIsa::kScalar, ff::KernelIsa::kSse41, ff::KernelIsa::kAvx2,
+         {ff::KernelIsa::kScalar, ff::KernelIsa::kAvx2,
           ff::KernelIsa::kAvx512}) {
       if (!ff::kernel_isa_supported(isa)) continue;
       ff::set_kernel_isa(isa);

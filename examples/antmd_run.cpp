@@ -15,7 +15,6 @@
 //   electrostatics = gse        # none | cutoff | gse
 //   cutoff       = 6.0
 //   threads      = 4            # host worker threads (1 = serial, 0 = auto)
-//   deterministic_reduction = true
 //   xyz          = out.xyz      # optional trajectory
 //
 //   ./antmd_run water.cfg [--threads N]
@@ -189,13 +188,11 @@ md::ThermostatConfig build_thermostat(const io::RunConfig& cfg) {
   return t;
 }
 
-/// Execution settings: config keys `threads` / `deterministic_reduction`,
-/// with an optional --threads command-line override.
+/// Execution settings: config key `threads`, with an optional --threads
+/// command-line override.
 ExecutionConfig build_execution(const io::RunConfig& cfg, int cli_threads) {
   ExecutionConfig exec;
   exec.threads = static_cast<size_t>(cfg.get_int("threads", 1));
-  exec.deterministic_reduction =
-      cfg.get_bool("deterministic_reduction", true);
   if (cli_threads >= 0) exec.threads = static_cast<size_t>(cli_threads);
   return exec;
 }

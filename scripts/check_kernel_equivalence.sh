@@ -6,7 +6,7 @@
 #      bit-identical, so `cmp` — not a tolerance diff — is the bar);
 #   2. thread invariance: cluster kernel at --threads 1 vs 2 vs 8;
 #   3. the cross-ISA matrix: every compiled-and-runnable SIMD variant
-#      (ANTMD_FORCE_ISA = sse41 / avx2 / avx512) x threads {1, 2, 8} must
+#      (ANTMD_FORCE_ISA = avx2 / avx512) x threads {1, 2, 8} must
 #      reproduce the forced-scalar trajectory byte for byte;
 #   4. the golden physics fixtures (golden_test) must pass under every
 #      forced ISA.
@@ -101,7 +101,7 @@ run_one() {  # system kernel threads isa -> trajectory path
 probe_cfg="${WORK}/probe.cfg"
 write_base ljfluid512 | sed 's/^steps = 100$/steps = 1/' > "$probe_cfg"
 SIMD_ISAS=()
-for isa in sse41 avx2 avx512; do
+for isa in avx2 avx512; do
   if ANTMD_FORCE_ISA="$isa" "$RUN" "$probe_cfg" \
        > "${WORK}/probe_${isa}.log" 2>&1; then
     SIMD_ISAS+=("$isa")

@@ -258,13 +258,6 @@ void compute_cluster_entries(const ClusterPairList& list,
   if (const KernelIsa isa = active_kernel_isa();
       isa != KernelIsa::kScalar && tables.simd_arena().valid) {
     switch (isa) {
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-      case KernelIsa::kSse41:
-        compute_cluster_entries_sse41(list, entries, tables, box, forces,
-                                      energy, virial, vdw_scale,
-                                      charge_product_scale);
-        return;
-#endif
 #if defined(ANTMD_HAVE_SIMD_AVX2)
       case KernelIsa::kAvx2:
         compute_cluster_entries_avx2(list, entries, tables, box, forces,

@@ -10,7 +10,6 @@ namespace antmd::ff {
 const char* to_string(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return "scalar";
-    case KernelIsa::kSse41: return "sse41";
     case KernelIsa::kAvx2: return "avx2";
     case KernelIsa::kAvx512: return "avx512";
   }
@@ -19,11 +18,10 @@ const char* to_string(KernelIsa isa) {
 
 KernelIsa parse_kernel_isa(const std::string& name) {
   if (name == "scalar") return KernelIsa::kScalar;
-  if (name == "sse41") return KernelIsa::kSse41;
   if (name == "avx2") return KernelIsa::kAvx2;
   if (name == "avx512") return KernelIsa::kAvx512;
   throw ConfigError(
-      "kernel ISA must be \"scalar\", \"sse41\", \"avx2\" or \"avx512\", "
+      "kernel ISA must be \"scalar\", \"avx2\" or \"avx512\", "
       "got \"" + name + "\"");
 }
 
@@ -31,12 +29,6 @@ bool kernel_isa_supported(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar:
       return true;
-    case KernelIsa::kSse41:
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-      return __builtin_cpu_supports("sse4.1");
-#else
-      return false;
-#endif
     case KernelIsa::kAvx2:
 #if defined(ANTMD_HAVE_SIMD_AVX2)
       return __builtin_cpu_supports("avx2");
@@ -57,7 +49,6 @@ bool kernel_isa_supported(KernelIsa isa) {
 KernelIsa probe_kernel_isa() {
   if (kernel_isa_supported(KernelIsa::kAvx512)) return KernelIsa::kAvx512;
   if (kernel_isa_supported(KernelIsa::kAvx2)) return KernelIsa::kAvx2;
-  if (kernel_isa_supported(KernelIsa::kSse41)) return KernelIsa::kSse41;
   return KernelIsa::kScalar;
 }
 

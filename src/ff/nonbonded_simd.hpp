@@ -1,6 +1,6 @@
 // Runtime ISA dispatch for the integer-SIMD cluster-pair kernels.
 //
-// The vector kernels (nonbonded_simd_{sse41,avx2,avx512}.cpp, each compiled
+// The vector kernels (nonbonded_simd_{avx2,avx512}.cpp, each compiled
 // with its own -m flags) are drop-in replacements for the scalar tile loop
 // in nonbonded_cluster.cpp: same fixed-point quantize-once contract, same
 // canonical 8-bucket virial grouping, bit-identical results on every input.
@@ -8,8 +8,8 @@
 // process-global — it affects speed, never trajectories — resolved once
 // from (highest priority first):
 //
-//   1. the ANTMD_FORCE_ISA environment variable ("scalar" | "sse41" |
-//      "avx2" | "avx512") — the cross-ISA differential harness's hook;
+//   1. the ANTMD_FORCE_ISA environment variable ("scalar" | "avx2" |
+//      "avx512") — the cross-ISA differential harness's hook;
 //   2. an explicit set_kernel_isa() call (the `nonbonded_simd` config key);
 //   3. a cpuid probe picking the widest ISA this binary and CPU support.
 //
@@ -30,13 +30,12 @@ namespace antmd::ff {
 /// Instruction sets the cluster kernel can dispatch to, widest last.
 enum class KernelIsa : uint8_t {
   kScalar = 0,
-  kSse41 = 1,
   kAvx2 = 2,
   kAvx512 = 3,
 };
 
 [[nodiscard]] const char* to_string(KernelIsa isa);
-/// Parses "scalar" / "sse41" / "avx2" / "avx512"; throws ConfigError.
+/// Parses "scalar" / "avx2" / "avx512"; throws ConfigError.
 [[nodiscard]] KernelIsa parse_kernel_isa(const std::string& name);
 
 /// True when `isa` is both compiled into this binary and reported by
@@ -62,15 +61,6 @@ void set_kernel_isa(KernelIsa isa);
 // compute_cluster_entries; callers must have checked
 // tables.simd_arena().valid.  Only the variants the build supports are
 // defined (ANTMD_HAVE_SIMD_* from CMake).
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-void compute_cluster_entries_sse41(const ClusterPairList& list,
-                                   std::span<const ClusterPairEntry> entries,
-                                   const PairTableSet& tables, const Box& box,
-                                   FixedForceArray& forces,
-                                   EnergyBreakdown& energy, Mat3& virial,
-                                   double vdw_scale,
-                                   double charge_product_scale);
-#endif
 #if defined(ANTMD_HAVE_SIMD_AVX2)
 void compute_cluster_entries_avx2(const ClusterPairList& list,
                                   std::span<const ClusterPairEntry> entries,

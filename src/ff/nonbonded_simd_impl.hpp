@@ -1,5 +1,5 @@
 // Width-generic integer-SIMD tile loop, instantiated once per ISA by the
-// nonbonded_simd_{sse41,avx2,avx512}.cpp TUs with their Traits class (see
+// nonbonded_simd_{avx2,avx512}.cpp TUs with their Traits class (see
 // math/simd.hpp).  This header must only be included from a TU compiled
 // with the matching -m flags *and* -ffp-contract=off.
 //

@@ -71,7 +71,7 @@ struct SchedulerConfig {
   /// (v2 container) for collection by the operator.
   bool retain_final_state = false;
   /// Cluster-kernel ISA for every tenant ("auto" = cpuid probe; or
-  /// scalar | sse41 | avx2 | avx512).  Process-global — kernel dispatch is
+  /// scalar | avx2 | avx512).  Process-global — kernel dispatch is
   /// shared state, so it is a fleet key, not a per-run key.  All variants
   /// are bit-identical; this only changes speed.
   std::string nonbonded_simd = "auto";

@@ -6,7 +6,6 @@
 // lanes evaluated per vector op (lane l covers tile row l / kCols and
 // column l % kCols within the block).
 //
-//   Sse41Traits   2 lanes   1 row × 2 cols  (half a tile row per op)
 //   Avx2Traits    4 lanes   1 row × 4 cols  (one tile row per op)
 //   Avx512Traits  8 lanes   2 rows × 4 cols (an even/odd row pair per op)
 //
@@ -22,131 +21,15 @@
 //   VD    kLanes doubles
 //   VI    kLanes int64 (fixed-point quanta)
 //   Idx   kLanes int32 gather offsets (low half of a legacy-width vector)
-//   Mask  per-lane predicate: all-ones double lanes on SSE/AVX2, a
+//   Mask  per-lane predicate: all-ones double lanes on AVX2, a
 //         compressed __mmask8 on AVX-512.  blend(a, b, m) == m ? b : a.
 #pragma once
 
 #include <cstdint>
 
-#if defined(__SSE4_1__)
+#if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
-
-namespace antmd::simd {
-
-struct Sse41Traits {
-  static constexpr unsigned kLanes = 2;
-  static constexpr unsigned kRows = 1;
-  static constexpr unsigned kCols = 2;
-  using VD = __m128d;
-  using VI = __m128i;
-  using Idx = __m128i;
-  using Mask = __m128d;
-
-  static VD zero() { return _mm_setzero_pd(); }
-  static VD bcast(double v) { return _mm_set1_pd(v); }
-  /// i-side broadcast: `lo` fills the block's (single) row.
-  static VD bcast_rows(double lo, double /*hi*/) { return _mm_set1_pd(lo); }
-  /// j-side columns c0..c0+1 of a 4-wide group.
-  static VD load_cols(const double* p, unsigned c0) {
-    return _mm_loadu_pd(p + c0);
-  }
-
-  static void store(double* dst, VD v) { _mm_storeu_pd(dst, v); }
-  static VD add(VD a, VD b) { return _mm_add_pd(a, b); }
-  static VD sub(VD a, VD b) { return _mm_sub_pd(a, b); }
-  static VD mul(VD a, VD b) { return _mm_mul_pd(a, b); }
-  static VD div(VD a, VD b) { return _mm_div_pd(a, b); }
-  static VD min(VD a, VD b) { return _mm_min_pd(a, b); }
-  static VD max(VD a, VD b) { return _mm_max_pd(a, b); }
-  /// nearbyint: round in the current (to-nearest-even) mode, no inexact.
-  static VD round_cur(VD a) {
-    return _mm_round_pd(a, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-  }
-
-  static Mask cmp_lt(VD a, VD b) { return _mm_cmplt_pd(a, b); }
-  static Mask cmp_le(VD a, VD b) { return _mm_cmple_pd(a, b); }
-  static Mask cmp_gt(VD a, VD b) { return _mm_cmpgt_pd(a, b); }
-  static Mask cmp_ge(VD a, VD b) { return _mm_cmpge_pd(a, b); }
-  static Mask cmp_eq(VD a, VD b) { return _mm_cmpeq_pd(a, b); }
-  static Mask cmp_ne(VD a, VD b) { return _mm_cmpneq_pd(a, b); }
-  static Mask mask_and(Mask a, Mask b) { return _mm_and_pd(a, b); }
-  static Mask mask_or(Mask a, Mask b) { return _mm_or_pd(a, b); }
-  static bool mask_any(Mask m) { return _mm_movemask_pd(m) != 0; }
-  static VD blend(VD a, VD b, Mask m) { return _mm_blendv_pd(a, b, m); }
-  /// m ? acc + c : acc (the blend-the-old-value-back conditional add).
-  static VD add_masked(VD acc, VD c, Mask m) {
-    return _mm_blendv_pd(acc, _mm_add_pd(acc, c), m);
-  }
-  /// Mask-bit `l` of `bits` selects lane l.
-  static Mask mask_from_bits(unsigned bits) {
-    const __m128i b = _mm_set1_epi64x(static_cast<long long>(bits));
-    const __m128i lane = _mm_set_epi64x(2, 1);
-    return _mm_castsi128_pd(_mm_cmpeq_epi64(_mm_and_si128(b, lane), lane));
-  }
-
-  static Idx idx_cvtt(VD v) { return _mm_cvttpd_epi32(v); }
-  static VD idx_to_pd(Idx v) { return _mm_cvtepi32_pd(v); }
-  static Idx idx_add(Idx a, Idx b) { return _mm_add_epi32(a, b); }
-  static Idx idx_mul(Idx a, Idx b) { return _mm_mullo_epi32(a, b); }
-  static Idx idx_bcast(int32_t v) { return _mm_set1_epi32(v); }
-  static Idx idx_bcast_rows(int32_t lo, int32_t /*hi*/) {
-    return _mm_set1_epi32(lo);
-  }
-  /// j-side per-column int32 loads (type ids), cols c0..c0+1.
-  static Idx idx_load_cols(const uint32_t* p, unsigned c0) {
-    return _mm_set_epi32(0, 0, static_cast<int32_t>(p[c0 + 1]),
-                         static_cast<int32_t>(p[c0]));
-  }
-  /// out[k] = per-lane base[idx_l + k] for k = 0..7: each lane's spline bin
-  /// is 8 contiguous doubles (one cache line), so two 16-byte loads per
-  /// coefficient pair + an unpack transpose beat eight per-lane gathers.
-  static void load_packed8(const double* base, Idx idx, VD out[8]) {
-    const double* p0 = base + _mm_cvtsi128_si32(idx);
-    const double* p1 = base + _mm_extract_epi32(idx, 1);
-    for (unsigned k = 0; k < 8; k += 2) {
-      const __m128d a = _mm_loadu_pd(p0 + k);
-      const __m128d b = _mm_loadu_pd(p1 + k);
-      out[k] = _mm_unpacklo_pd(a, b);
-      out[k + 1] = _mm_unpackhi_pd(a, b);
-    }
-  }
-
-  /// Truncating double -> int64, cvttsd2si semantics per lane.  Callers
-  /// only pass integral values (quantize_round rounds first), so the
-  /// magic-number bias conversion is exact whenever |v| < 2^51; larger,
-  /// non-finite, or indefinite lanes take the scalar instruction itself.
-  static VI cvtt_i64(VD v) {
-    const __m128d magic = _mm_set1_pd(6755399441055744.0);  // 2^52 + 2^51
-    const __m128d limit = _mm_set1_pd(2251799813685248.0);  // 2^51
-    const __m128d av = _mm_andnot_pd(_mm_set1_pd(-0.0), v);
-    if (_mm_movemask_pd(_mm_cmplt_pd(av, limit)) == 0x3) {
-      const __m128d x = _mm_add_pd(v, magic);
-      return _mm_sub_epi64(_mm_castpd_si128(x), _mm_castpd_si128(magic));
-    }
-    alignas(16) double t[kLanes];
-    _mm_store_pd(t, v);
-    return _mm_set_epi64x(static_cast<int64_t>(t[1]),
-                          static_cast<int64_t>(t[0]));
-  }
-  static VI zero_i64() { return _mm_setzero_si128(); }
-  static VI add_i64(VI a, VI b) { return _mm_add_epi64(a, b); }
-  static VI sub_i64(VI a, VI b) { return _mm_sub_epi64(a, b); }
-  static VI and_mask_i64(VI v, Mask m) {
-    return _mm_and_si128(v, _mm_castpd_si128(m));
-  }
-  static void store_i64(int64_t* dst, VI v) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), v);
-  }
-  /// Per-row horizontal sums of the int64 lanes: sums[r] = sum of row r's
-  /// lanes (kRows == 1 here, so one total).  Integer adds are order-free.
-  static void row_sums_i64(VI v, int64_t sums[kRows]) {
-    const __m128i hi = _mm_unpackhi_epi64(v, v);
-    sums[0] = _mm_cvtsi128_si64(_mm_add_epi64(v, hi));
-  }
-};
-
-}  // namespace antmd::simd
-#endif  // __SSE4_1__
+#endif
 
 #if defined(__AVX2__)
 namespace antmd::simd {
@@ -234,8 +117,10 @@ struct Avx2Traits {
     }
   }
 
-  /// Truncating double -> int64, cvttsd2si semantics per lane; see
-  /// Sse41Traits::cvtt_i64 for the integral-input magic-number contract.
+  /// Truncating double -> int64, cvttsd2si semantics per lane.  Callers
+  /// only pass integral values (quantize_round rounds first), so the
+  /// magic-number bias conversion is exact whenever |v| < 2^51; larger,
+  /// non-finite, or indefinite lanes take the scalar instruction itself.
   static VI cvtt_i64(VD v) {
     const __m256d magic = _mm256_set1_pd(6755399441055744.0);  // 2^52 + 2^51
     const __m256d limit = _mm256_set1_pd(2251799813685248.0);  // 2^51

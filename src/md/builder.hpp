@@ -77,9 +77,6 @@ class SimulationBuilder {
   SimulationBuilder& threads(size_t n) {
     config_.execution.threads = n; return *this;
   }
-  SimulationBuilder& deterministic_reduction(bool on) {
-    config_.execution.deterministic_reduction = on; return *this;
-  }
   SimulationBuilder& execution(const ExecutionConfig& v) {
     config_.execution = v; return *this;
   }

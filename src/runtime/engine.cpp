@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 
@@ -357,9 +356,7 @@ machine::StepWork DistributedEngine::evaluate(
   const size_t n_atoms = topo.atom_count();
 
   // Position multicast: every consumer sees the fixed-point wire format.
-  if (options_.quantize_positions) {
-    for (auto& p : positions) p = snap_position(p);
-  }
+  for (auto& p : positions) p = snap_position(p);
 
   ff::construct_virtual_sites(topo.virtual_sites(), positions, box);
   // One SoA gather serves every node's tile slice this step.
@@ -369,8 +366,7 @@ machine::StepWork DistributedEngine::evaluate(
   machine::StepWork work;
   work.nodes.resize(parts_.size());
 
-  if (exec_->parallel() && exec_->deterministic_reduction() &&
-      parts_.size() > 1) {
+  if (exec_->parallel() && parts_.size() > 1) {
     // Phase-overlapped path: per-node kernels and the reciprocal-space
     // solve run concurrently; forces fold in parallel over disjoint atom
     // ranges (order-free integer adds); energies and the double-precision
@@ -385,36 +381,15 @@ machine::StepWork DistributedEngine::evaluate(
     return work;
   }
 
-  if (exec_->parallel() && parts_.size() > 1) {
-    // Opted out of deterministic reduction: per-node kernels still run
-    // concurrently, and partials merge in completion order (deterministic
-    // in forces/energy thanks to fixed-point accumulation; the virial may
-    // differ in the last ulp).
-    partials_scratch_.resize(parts_.size());
-    std::mutex merge_mutex;
-    exec_->parallel_for(parts_.size(), [&](size_t n) {
-      obs::TracePhase node_phase("runtime.node_eval", "runtime",
-                                 &engine_metrics().node_eval_ns, /*track=*/
-                                 kNodeTrackBase + static_cast<int64_t>(n),
-                                 "node", static_cast<int64_t>(n));
-      engine_metrics().node_evals.add();
-      partials_scratch_[n].reset(n_atoms);
-      evaluate_node(parts_[n], positions, box, time, partials_scratch_[n],
-                    work.nodes[n]);
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      out.merge(partials_scratch_[n]);
-    });
-  } else {
-    for (size_t n = 0; n < parts_.size(); ++n) {
-      obs::TracePhase node_phase("runtime.node_eval", "runtime",
-                                 &engine_metrics().node_eval_ns, /*track=*/
-                                 kNodeTrackBase + static_cast<int64_t>(n),
-                                 "node", static_cast<int64_t>(n));
-      engine_metrics().node_evals.add();
-      ForceResult partial(n_atoms);
-      evaluate_node(parts_[n], positions, box, time, partial, work.nodes[n]);
-      out.merge(partial);  // the modeled force reduction
-    }
+  for (size_t n = 0; n < parts_.size(); ++n) {
+    obs::TracePhase node_phase("runtime.node_eval", "runtime",
+                               &engine_metrics().node_eval_ns, /*track=*/
+                               kNodeTrackBase + static_cast<int64_t>(n),
+                               "node", static_cast<int64_t>(n));
+    engine_metrics().node_evals.add();
+    ForceResult partial(n_atoms);
+    evaluate_node(parts_[n], positions, box, time, partial, work.nodes[n]);
+    out.merge(partial);  // the modeled force reduction
   }
 
   if (ff_->has_kspace()) {

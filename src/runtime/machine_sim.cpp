@@ -7,6 +7,7 @@
 #include "math/units.hpp"
 #include "md/engine_api.hpp"
 #include "md/serialize.hpp"
+#include "md/simulation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -95,11 +96,23 @@ void accumulate(machine::StepBreakdown& acc,
 
 }  // namespace
 
+void MachineSimConfig::validate() const {
+  // One set of range checks for both engines: a bad timestep or k-space
+  // cadence is the same ConfigError on the machine as on the host.
+  md::SimulationConfig shared;
+  shared.dt_fs = dt_fs;
+  shared.kspace_interval = kspace_interval;
+  shared.neighbor_skin = neighbor_skin;
+  shared.cluster_width = cluster_width;
+  shared.validate();
+}
+
 MachineSimulation::MachineSimulation(ForceField& ff,
                                      machine::MachineConfig machine_cfg,
                                      std::vector<Vec3> positions, Box box,
                                      MachineSimConfig config)
-    : ff_(&ff),
+    // validate() before any member uses config fields (neighbor list, dt).
+    : ff_((config.validate(), &ff)),
       config_(config),
       timing_(machine_cfg),
       transport_(machine_cfg, config.transport),
@@ -116,7 +129,6 @@ MachineSimulation::MachineSimulation(ForceField& ff,
   const Topology& topo = ff.topology();
   ANTMD_REQUIRE(positions.size() == topo.atom_count(),
                 "positions/topology size mismatch");
-  ANTMD_REQUIRE(config.kspace_interval >= 1, "kspace interval must be >= 1");
 
   state_.positions = std::move(positions);
   state_.box = box;

@@ -43,6 +43,12 @@ struct MachineSimConfig {
   uint32_t cluster_width = ff::kDefaultClusterWidth;
   EngineOptions engine;
   machine::TransportConfig transport;
+
+  /// Throws ConfigError on the ranges md::SimulationConfig::validate()
+  /// checks for the host engine (dt_fs > 0, kspace_interval >= 1,
+  /// neighbor_skin >= 0, cluster_width 4 or 8).  Called first thing by the
+  /// MachineSimulation constructor.
+  void validate() const;
 };
 
 class MachineSimulation : public util::Checkpointable {

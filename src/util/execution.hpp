@@ -5,9 +5,8 @@
 // persistent worker pool behind util::TaskGraph): parallel_for runs as a
 // one-task graph, and graph-aware subsystems reach the shared runtime via
 // runtime() so an engine, its neighbor list and its step graph all reuse
-// one pool.  The contract every caller relies on is unchanged: with
-// deterministic reduction enabled (the default), results are bit-identical
-// at any thread count, because all shared accumulations are either
+// one pool.  The contract every caller relies on: results are bit-identical at
+// any thread count, because all shared accumulations are either
 // order-independent fixed-point sums or are merged in a fixed index order
 // after the parallel region.
 #pragma once
@@ -25,11 +24,6 @@ struct ExecutionConfig {
   /// evaluation, neighbor-list rebuild, replica chunks).  1 = fully serial
   /// (no workers are spawned); 0 = use hardware_concurrency.
   size_t threads = 1;
-  /// Merge per-node partial forces in fixed node-index order so the virial
-  /// (double precision) matches the serial path bitwise too.  Disabling it
-  /// merges partials as they complete; fixed-point forces and energies stay
-  /// bit-identical either way, only the virial's fp summation order varies.
-  bool deterministic_reduction = true;
   /// Optional externally owned worker pool.  When set (and parallel), the
   /// ExecutionContext reuses it instead of spawning its own workers — this
   /// is how the fleet scheduler multiplexes hundreds of engines over one
@@ -51,9 +45,6 @@ class ExecutionContext {
 
   /// Effective worker count (>= 1).
   [[nodiscard]] size_t threads() const { return threads_; }
-  [[nodiscard]] bool deterministic_reduction() const {
-    return config_.deterministic_reduction;
-  }
   /// True when worker lanes exist and parallel_for actually fans out.
   [[nodiscard]] bool parallel() const {
     return runtime_ && runtime_->parallel();

@@ -605,6 +605,37 @@ TEST(ConfigValidation, SimulationConstructorValidates) {
                ConfigError);
 }
 
+// Both engines reject the same out-of-range fields with the same typed
+// ConfigError (antmd_run maps it to exit code 2), before building anything.
+TEST(ConfigValidation, BothEnginesRejectBadTimestepAndKspaceInterval) {
+  auto spec = build_lj_fluid(125, 0.021, 1);
+  ForceField field(spec.topology, lj_model());
+  for (double dt : {0.0, -2.0}) {
+    auto host = langevin_config(120);
+    host.dt_fs = dt;
+    EXPECT_THROW(md::Simulation(field, spec.positions, spec.box, host),
+                 ConfigError)
+        << "host dt_fs=" << dt;
+    runtime::MachineSimConfig machine;
+    machine.dt_fs = dt;
+    EXPECT_THROW(runtime::MachineSimulation(field,
+                                            machine::anton_with_torus(2, 2, 2),
+                                            spec.positions, spec.box, machine),
+                 ConfigError)
+        << "machine dt_fs=" << dt;
+  }
+  auto host = langevin_config(120);
+  host.kspace_interval = 0;
+  EXPECT_THROW(md::Simulation(field, spec.positions, spec.box, host),
+               ConfigError);
+  runtime::MachineSimConfig machine;
+  machine.kspace_interval = 0;
+  EXPECT_THROW(runtime::MachineSimulation(field,
+                                          machine::anton_with_torus(2, 2, 2),
+                                          spec.positions, spec.box, machine),
+               ConfigError);
+}
+
 TEST(ConfigValidation, SetTimestepRejectsNonPositive) {
   auto spec = build_lj_fluid(125, 0.021, 1);
   ForceField field(spec.topology, lj_model());

@@ -22,7 +22,7 @@ TEST(Metrics, CounterAggregatesExactlyAcrossWorkerThreads) {
 
   constexpr size_t kTasks = 64;
   constexpr uint64_t kPerTask = 10000;
-  auto exec = ExecutionContext::create({8, true});
+  auto exec = ExecutionContext::create({8});
   exec->parallel_for(kTasks, [&](size_t) {
     for (uint64_t k = 0; k < kPerTask; ++k) c.add();
   });
@@ -91,7 +91,7 @@ TEST(Metrics, HistogramCountsSurviveConcurrentObserves) {
   obs::ScopedTelemetry on(true);
   obs::MetricsRegistry reg;
   auto& h = reg.histogram("test.hist.par", {10.0, 20.0});
-  auto exec = ExecutionContext::create({8, true});
+  auto exec = ExecutionContext::create({8});
   constexpr size_t kTasks = 32;
   constexpr int kPerTask = 500;
   exec->parallel_for(kTasks, [&](size_t t) {

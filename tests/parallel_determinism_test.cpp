@@ -1,6 +1,6 @@
 // Tier-1 contract for the parallel execution layer: worker threads must be
-// invisible in the results.  With deterministic reduction (the default) a
-// trajectory is bit-identical at any thread count, because forces and
+// invisible in the results.  A trajectory is bit-identical at any thread
+// count, because forces and
 // energies accumulate in order-independent fixed point and the per-node
 // partials (including the double-precision virial) are merged in fixed
 // node-index order.
@@ -134,7 +134,7 @@ TEST(ParallelDeterminism, NeighborListPairsMatchSerialBuild) {
   serial.build(spec.positions, spec.box);
 
   md::NeighborList parallel(spec.topology, 8.0, 1.0);
-  parallel.set_execution(ExecutionContext::create({4, true}));
+  parallel.set_execution(ExecutionContext::create({4}));
   parallel.build(spec.positions, spec.box);
 
   ASSERT_EQ(serial.pairs().size(), parallel.pairs().size());
@@ -181,6 +181,63 @@ TEST(ParallelDeterminism, PhaseOverlapWithKspaceAndConstraints) {
   }
 }
 
+// RESPA's split (a bonded-only inner pass, a nonbonded + k-space outer
+// kick) and the Berendsen barostat (a full recompute after every box
+// rescale, driven by the double-precision virial) both run multi-threaded
+// here, on both nonbonded kernels, and must stay byte-identical.
+std::vector<Vec3> run_water_variant(size_t threads, ff::NonbondedKernel kernel,
+                                    bool respa) {
+  auto spec = build_water_box(
+      125, respa ? WaterModel::kFlexible3Site : WaterModel::kRigid3Site);
+  ff::NonbondedModel model;
+  model.cutoff = 6.0;
+  model.electrostatics = ff::Electrostatics::kEwaldReal;
+  model.ewald_beta = 0.45;
+  ForceField field(spec.topology, model);
+  md::SimulationBuilder builder;
+  builder.dt_fs(2.0)
+      .neighbor_skin(1.0)
+      .kspace_interval(2)
+      .langevin(250.0, 5.0)
+      .nonbonded_kernel(kernel)
+      .threads(threads);
+  if (respa) {
+    builder.respa_inner(2);
+  } else {
+    md::BarostatConfig baro;
+    baro.kind = md::BarostatKind::kBerendsen;
+    baro.interval = 10;
+    builder.barostat(baro);
+  }
+  md::Simulation sim = builder.build(field, spec.positions, spec.box);
+  sim.run(60);
+  std::vector<Vec3> out = sim.state().positions;
+  out.push_back(sim.state().box.edges());
+  return out;
+}
+
+TEST(ParallelDeterminism, RespaBitIdenticalAcrossThreadCounts) {
+  for (auto kernel :
+       {ff::NonbondedKernel::kCluster, ff::NonbondedKernel::kPair}) {
+    auto reference = run_water_variant(1, kernel, /*respa=*/true);
+    for (size_t threads : {2u, 8u}) {
+      expect_bitwise_equal(reference, run_water_variant(threads, kernel, true),
+                           threads);
+    }
+  }
+}
+
+TEST(ParallelDeterminism, BerendsenBarostatBitIdenticalAcrossThreadCounts) {
+  for (auto kernel :
+       {ff::NonbondedKernel::kCluster, ff::NonbondedKernel::kPair}) {
+    auto reference = run_water_variant(1, kernel, /*respa=*/false);
+    for (size_t threads : {2u, 8u}) {
+      expect_bitwise_equal(reference,
+                           run_water_variant(threads, kernel, false), threads);
+    }
+  }
+}
+
 TEST(ParallelDeterminism, ReplicaExchangeThreadCountInvariant) {
   auto spec = build_polymer_in_solvent(12, 125);
   const std::vector<double> temps = {140.0, 160.0, 180.0, 200.0};
@@ -204,7 +261,7 @@ TEST(ParallelDeterminism, ReplicaExchangeThreadCountInvariant) {
       ptrs.push_back(sims.back().get());
     }
     sampling::TemperatureReplicaExchange remd(ptrs, temps, 20, 11,
-                                              ExecutionConfig{threads, true});
+                                              ExecutionConfig{threads});
     remd.run(200);
     std::vector<std::vector<Vec3>> out;
     for (auto* sim : ptrs) out.push_back(sim->state().positions);

@@ -524,7 +524,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         KernelCase{ff::NonbondedKernel::kPair, ff::KernelIsa::kScalar},
         KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kScalar},
-        KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kSse41},
         KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kAvx2},
         KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kAvx512}),
     [](const auto& info) {

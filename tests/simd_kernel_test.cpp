@@ -1,6 +1,6 @@
 // Cross-ISA differential harness for the integer-SIMD cluster kernels.
 //
-// The SIMD variants (ff/nonbonded_simd_{sse41,avx2,avx512}.cpp) claim
+// The SIMD variants (ff/nonbonded_simd_{avx2,avx512}.cpp) claim
 // bit-for-bit equivalence with the scalar tile loop — not "close", equal.
 // This suite fuzzes that claim over ~200 seeded random systems spanning
 // the kernel envelope: mixed atom types (including zero-epsilon species),
@@ -153,11 +153,6 @@ using ClusterKernelFn = void (*)(const ff::ClusterPairList&,
                                  double, double);
 std::vector<std::pair<std::string, ClusterKernelFn>> simd_variants() {
   std::vector<std::pair<std::string, ClusterKernelFn>> v;
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-  if (ff::kernel_isa_supported(ff::KernelIsa::kSse41)) {
-    v.emplace_back("sse41", &ff::compute_cluster_entries_sse41);
-  }
-#endif
 #if defined(ANTMD_HAVE_SIMD_AVX2)
   if (ff::kernel_isa_supported(ff::KernelIsa::kAvx2)) {
     v.emplace_back("avx2", &ff::compute_cluster_entries_avx2);
@@ -311,10 +306,11 @@ TEST(SimdKernel, DispatchProbeAndNames) {
   EXPECT_TRUE(ff::kernel_isa_supported(active));
   EXPECT_TRUE(ff::kernel_isa_supported(ff::KernelIsa::kScalar));
   EXPECT_TRUE(ff::kernel_isa_supported(ff::probe_kernel_isa()));
-  for (const char* name : {"scalar", "sse41", "avx2", "avx512"}) {
+  for (const char* name : {"scalar", "avx2", "avx512"}) {
     EXPECT_STREQ(ff::to_string(ff::parse_kernel_isa(name)), name);
   }
   EXPECT_THROW(ff::parse_kernel_isa("pentium"), ConfigError);
+  EXPECT_THROW(ff::parse_kernel_isa("sse41"), ConfigError);  // removed
   EXPECT_THROW(ff::parse_kernel_isa(""), ConfigError);
   // set_kernel_isa round-trip (restoring the entry value; a no-op when the
   // test runs under ANTMD_FORCE_ISA, which is exactly the contract).
@@ -324,12 +320,13 @@ TEST(SimdKernel, DispatchProbeAndNames) {
   EXPECT_EQ(ff::active_kernel_isa(), active);
 }
 
-// CI smoke: the build host must actually *run* the scalar path and — since
-// the repo's baseline already requires SSE4.1 — the sse41 variant.  These
-// ASSERTs (not skips) catch a dispatch regression that silently drops
-// variants on the machine that builds and tests every PR.
-TEST(SimdKernel, DispatchSmokeScalarAndSse41RunOnBuildHost) {
+// CI smoke: the build host must actually *run* the scalar path and the
+// ISA the dispatcher picked.  These ASSERTs (not skips) catch a dispatch
+// regression that silently drops variants on the machine that builds and
+// tests every change.
+TEST(SimdKernel, DispatchSmokeScalarAndActiveIsaRunOnBuildHost) {
   ASSERT_TRUE(ff::kernel_isa_supported(ff::KernelIsa::kScalar));
+  ASSERT_TRUE(ff::kernel_isa_supported(ff::active_kernel_isa()));
   const FuzzCase c = make_case(7);
   ff::PairTableSet tables(c.topo, c.model);
   md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
@@ -338,15 +335,12 @@ TEST(SimdKernel, DispatchSmokeScalarAndSse41RunOnBuildHost) {
   ff::gather_cluster_coords(list, c.positions);
   const EvalOut ref =
       run_kernel(c, list, tables, ff::compute_cluster_entries_scalar);
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-  ASSERT_TRUE(ff::kernel_isa_supported(ff::KernelIsa::kSse41))
-      << "sse41 TU is compiled in but the dispatcher refuses it here";
   expect_bit_identical(
-      ref, run_kernel(c, list, tables, ff::compute_cluster_entries_sse41),
-      "build-host sse41 smoke");
-#else
-  GTEST_FAIL() << "the sse41 kernel TU is expected in every build";
-#endif
+      ref,
+      run_kernel(c, list, tables,
+                 [](auto&... args) { ff::compute_cluster_entries(args...); }),
+      std::string("build-host smoke isa=") +
+          ff::to_string(ff::active_kernel_isa()));
 }
 
 }  // namespace

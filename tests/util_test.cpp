@@ -290,11 +290,10 @@ TEST(ExecutionContext, SerialByDefault) {
   ASSERT_NE(ctx, nullptr);
   EXPECT_FALSE(ctx->parallel());
   EXPECT_EQ(ctx->threads(), 1u);
-  EXPECT_TRUE(ctx->deterministic_reduction());
 }
 
 TEST(ExecutionContext, SerialRunsInIndexOrder) {
-  auto ctx = ExecutionContext::create({1, true});
+  auto ctx = ExecutionContext::create({1});
   std::vector<size_t> order;
   ctx->parallel_for(10, [&](size_t i) { order.push_back(i); });
   std::vector<size_t> expected(10);
@@ -303,7 +302,7 @@ TEST(ExecutionContext, SerialRunsInIndexOrder) {
 }
 
 TEST(ExecutionContext, ParallelCoversAllIndices) {
-  auto ctx = ExecutionContext::create({4, true});
+  auto ctx = ExecutionContext::create({4});
   EXPECT_TRUE(ctx->parallel());
   EXPECT_EQ(ctx->threads(), 4u);
   std::vector<std::atomic<int>> hits(257);
@@ -312,16 +311,11 @@ TEST(ExecutionContext, ParallelCoversAllIndices) {
 }
 
 TEST(ExecutionContext, AutoThreadsPicksAtLeastOne) {
-  auto ctx = ExecutionContext::create({0, true});
+  auto ctx = ExecutionContext::create({0});
   EXPECT_GE(ctx->threads(), 1u);
   std::atomic<int> count{0};
   ctx->parallel_for(8, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ExecutionContext, CarriesReductionFlag) {
-  auto ctx = ExecutionContext::create({2, false});
-  EXPECT_FALSE(ctx->deterministic_reduction());
 }
 
 }  // namespace
