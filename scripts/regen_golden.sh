@@ -16,7 +16,7 @@ fi
 
 mkdir -p tests/golden
 ANTMD_GOLDEN_REGEN=1 "${BUILD_DIR}/tests/golden_test" \
-  --gtest_filter='GoldenTest.LjFluid:GoldenTest.SolvatedMiniprotein:GoldenTest.IonicSolution'
+  --gtest_filter='GoldenTest.LjFluid:GoldenTest.SolvatedMiniprotein:GoldenTest.IonicSolution:GoldenTest.GseWater'
 
 echo
 echo "fixtures written to tests/golden/:"

@@ -7,20 +7,40 @@
 // kernel, and the same Gaussian is reused to interpolate forces off the
 // grid.  The k-space solve is a dense 3D FFT (fft/).
 //
+// One evaluation is a chain of stages, defined once in append_stages():
+//   stencil      per atom chunk: wrapped position, base cell, per-axis weights
+//   spread       per z-slab: each slab adds only into its own planes
+//   fft forward  per z-plane (x, y lines), then per y-row (z lines)
+//   convolve     serial: energy and virial sum in grid order
+//   fft inverse  as forward
+//   interpolate  per atom chunk: each atom's force summed and written once
+//   finish       serial: energy, virial, self/background/exclusion terms
+// Every grid point and every force sums in the same order as a plain serial
+// loop, and the grain partitions depend only on the grid and the atom
+// count, so the result is bit-identical at any lane count.  compute() runs
+// the same stages on a serial graph.
+//
 // Correctness contract: real-space kernel (ff::Electrostatics::kEwaldReal
 // with the same β) + this reciprocal part + self/exclusion/background
 // corrections reproduces full Ewald electrostatics; the Madelung-constant
 // test in tests/ewald_test.cpp pins this down.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "fft/fft3d.hpp"
 #include "ff/energy.hpp"
 #include "math/pbc.hpp"
+#include "util/task_graph.hpp"
 
 namespace antmd {
+
+namespace obs {
+class Counter;
+}
 
 struct GseParams {
   double beta = 0.35;          ///< Ewald splitting parameter (Å⁻¹)
@@ -43,8 +63,24 @@ struct GseWorkload {
   double fft_flops = 0.0;
 };
 
+/// What one reciprocal-space evaluation reads, and where it adds its result.
+/// The spans must stay valid until the evaluation's last stage has run.
+struct GseInput {
+  std::span<const Vec3> pos;
+  std::span<const double> charges;
+  std::span<const std::pair<uint32_t, uint32_t>> excluded_pairs;
+  Box box;
+  ForceResult* out = nullptr;
+  /// When set, receives the wall span of the whole stage chain (ns).
+  obs::Counter* span_ns = nullptr;
+};
+
 class GseSolver {
  public:
+  /// Called once per graph run, when the stage chain starts; nullopt skips
+  /// every stage of that run (k-space not due).
+  using InputFn = std::function<std::optional<GseInput>()>;
+
   GseSolver(const Box& box, GseParams params);
 
   /// Recomputes grid dimensions after a box change (barostat).
@@ -53,9 +89,20 @@ class GseSolver {
   /// Adds reciprocal-space forces and energy for the given charges.
   /// Also adds the self-energy, neutralizing-background and excluded-pair
   /// corrections so that (real-space erfc loop + this) == full Ewald.
+  /// Runs the stages of append_stages() in order on the calling thread.
   void compute(std::span<const Vec3> pos, std::span<const double> charges,
                std::span<const std::pair<uint32_t, uint32_t>> excluded_pairs,
                const Box& box, ForceResult& out) const;
+
+  /// Appends the evaluation's stage DAG to `graph` behind `deps` and
+  /// returns its final task.  The graph may be run any number of times;
+  /// each run asks `input` for that run's evaluation.  The per-evaluation
+  /// workspace (grid and per-atom stencil) is allocated when the chain
+  /// starts and freed by its final task.  Grid dimensions are read at that
+  /// point too, so rebuild() between runs is fine; the solver must outlive
+  /// the graph.
+  util::TaskId append_stages(util::TaskGraph& graph, InputFn input,
+                             std::vector<util::TaskId> deps = {}) const;
 
   [[nodiscard]] const GseParams& params() const { return params_; }
   [[nodiscard]] size_t nx() const { return nx_; }
@@ -73,6 +120,9 @@ class GseSolver {
                                 ForceResult& out);
 
  private:
+  struct Evaluation;
+  struct Pipeline;
+
   void corrections(std::span<const Vec3> pos, std::span<const double> charges,
                    std::span<const std::pair<uint32_t, uint32_t>>
                        excluded_pairs,

@@ -1,5 +1,7 @@
 #include "ff/forcefield.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace antmd {
@@ -14,6 +16,15 @@ ForceField::ForceField(const Topology& topo, ff::NonbondedModel model,
     gse_ = std::make_unique<GseSolver>(Box::cubic(64.0), gse);
   }
   excluded_pairs_ = topo.excluded_pairs();
+  set_charge_product_scale(charge_scale_);
+}
+
+void ForceField::set_charge_product_scale(double s) {
+  charge_scale_ = s;
+  // Charge-product scaling s means each charge scales by sqrt(s).
+  const double f = std::sqrt(s);
+  kspace_charges_.assign(topo_->charges().begin(), topo_->charges().end());
+  for (double& q : kspace_charges_) q *= f;
 }
 
 void ForceField::set_custom_pair_table(uint32_t type_a, uint32_t type_b,
@@ -110,15 +121,7 @@ void ForceField::compute_nonbonded_clusters(const ff::ClusterPairList& clusters,
 void ForceField::compute_kspace(std::span<const Vec3> pos, const Box& box,
                                 ForceResult& out) const {
   if (!gse_) return;
-  if (charge_scale_ == 1.0) {
-    gse_->compute(pos, topo_->charges(), excluded_pairs_, box, out);
-  } else {
-    // Charge-product scaling s means each charge scales by sqrt(s).
-    std::vector<double> scaled(topo_->charges());
-    double f = std::sqrt(charge_scale_);
-    for (double& q : scaled) q *= f;
-    gse_->compute(pos, scaled, excluded_pairs_, box, out);
-  }
+  gse_->compute(pos, kspace_charges_, excluded_pairs_, box, out);
 }
 
 void ForceField::compute_all(std::span<Vec3> pos, const Box& box, double time,

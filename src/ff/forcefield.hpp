@@ -47,9 +47,15 @@ class ForceField {
   void set_external_field(Vec3 field);
   /// Global Hamiltonian scalings (H-REMD / FEP windows).
   void set_vdw_scale(double s) { vdw_scale_ = s; }
-  void set_charge_product_scale(double s) { charge_scale_ = s; }
+  /// Also refreshes kspace_charges().
+  void set_charge_product_scale(double s);
   [[nodiscard]] double vdw_scale() const { return vdw_scale_; }
   [[nodiscard]] double charge_product_scale() const { return charge_scale_; }
+  /// The charges reciprocal space sees: each topology charge times
+  /// √charge_product_scale (read from the topology at construction).
+  [[nodiscard]] std::span<const double> kspace_charges() const {
+    return kspace_charges_;
+  }
 
   // --- evaluation -------------------------------------------------------------
   /// Bonded terms + restraints + 1-4 pairs + external field.
@@ -132,6 +138,7 @@ class ForceField {
   ff::PairTableSet tables_;
   std::unique_ptr<GseSolver> gse_;
   std::vector<std::pair<uint32_t, uint32_t>> excluded_pairs_;
+  std::vector<double> kspace_charges_;
   std::vector<ff::PositionRestraint> pos_restraints_;
   std::vector<ff::DistanceRestraint> dist_restraints_;
   std::vector<ff::SteeredSpring> steered_;

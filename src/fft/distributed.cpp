@@ -14,36 +14,17 @@ DistributedFft3d::DistributedFft3d(size_t nx, size_t ny, size_t nz,
                 "ranks must divide nz (phase 1 slabs) and nx (phase 2)");
 }
 
-FftCommLog DistributedFft3d::transform(Grid3D& grid, Direction dir) const {
+FftCommLog DistributedFft3d::transform(Grid3D& grid, FftDirection dir) const {
   ANTMD_REQUIRE(grid.nx() == nx_ && grid.ny() == ny_ && grid.nz() == nz_,
                 "grid shape mismatch");
   FftCommLog log;
-  auto line_fft = [&](std::vector<Complex>& line) {
-    if (dir == Direction::kForward) fft_forward(line);
-    else fft_inverse(line);
-  };
-
   const size_t z_per_rank = nz_ / ranks_;
   const size_t x_per_rank = nx_ / ranks_;
 
   // --- phase 1: each rank transforms x and y lines inside its z-slab ------
   for (size_t rank = 0; rank < ranks_; ++rank) {
     const size_t z0 = rank * z_per_rank;
-    std::vector<Complex> line;
-    for (size_t z = z0; z < z0 + z_per_rank; ++z) {
-      for (size_t y = 0; y < ny_; ++y) {
-        line.resize(nx_);
-        for (size_t x = 0; x < nx_; ++x) line[x] = grid.at(x, y, z);
-        line_fft(line);
-        for (size_t x = 0; x < nx_; ++x) grid.at(x, y, z) = line[x];
-      }
-      for (size_t x = 0; x < nx_; ++x) {
-        line.resize(ny_);
-        for (size_t y = 0; y < ny_; ++y) line[y] = grid.at(x, y, z);
-        line_fft(line);
-        for (size_t y = 0; y < ny_; ++y) grid.at(x, y, z) = line[y];
-      }
-    }
+    for (size_t z = z0; z < z0 + z_per_rank; ++z) fft3d_plane(grid, z, dir);
   }
 
   // --- transpose: z-slabs -> x-slabs (explicit message accounting) --------
@@ -66,13 +47,8 @@ FftCommLog DistributedFft3d::transform(Grid3D& grid, Direction dir) const {
   // --- phase 2: each rank transforms z lines inside its x-slab -------------
   for (size_t rank = 0; rank < ranks_; ++rank) {
     const size_t x0 = rank * x_per_rank;
-    std::vector<Complex> line(nz_);
-    for (size_t x = x0; x < x0 + x_per_rank; ++x) {
-      for (size_t y = 0; y < ny_; ++y) {
-        for (size_t z = 0; z < nz_; ++z) line[z] = grid.at(x, y, z);
-        line_fft(line);
-        for (size_t z = 0; z < nz_; ++z) grid.at(x, y, z) = line[z];
-      }
+    for (size_t y = 0; y < ny_; ++y) {
+      fft3d_columns(grid, y, x0, x0 + x_per_rank, dir);
     }
   }
 
@@ -82,11 +58,11 @@ FftCommLog DistributedFft3d::transform(Grid3D& grid, Direction dir) const {
 }
 
 FftCommLog DistributedFft3d::forward(Grid3D& grid) const {
-  return transform(grid, Direction::kForward);
+  return transform(grid, FftDirection::kForward);
 }
 
 FftCommLog DistributedFft3d::inverse(Grid3D& grid) const {
-  return transform(grid, Direction::kInverse);
+  return transform(grid, FftDirection::kInverse);
 }
 
 }  // namespace antmd

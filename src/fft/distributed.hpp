@@ -5,10 +5,11 @@
 // (estimate_fft_cost).  This class is the *functional* counterpart: the
 // grid is partitioned into z-slabs across `ranks`, x/y lines are
 // transformed slab-locally, and the z transform happens after an explicit
-// transpose whose per-rank message sizes are recorded.  The result is
-// bitwise identical to the serial fft3d_forward/inverse (verified in
-// fft_test), which is how the real machine keeps k-space deterministic
-// regardless of how the FFT is spread over nodes.
+// transpose whose per-rank message sizes are recorded.  Both phases loop
+// over the serial transform's own plane and column kernels, so the result
+// is bitwise identical to fft3d_forward/inverse (verified in fft_test),
+// which is how the real machine keeps k-space deterministic regardless of
+// how the FFT is spread over nodes.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +38,7 @@ class DistributedFft3d {
   [[nodiscard]] size_t ranks() const { return ranks_; }
 
  private:
-  enum class Direction { kForward, kInverse };
-  FftCommLog transform(Grid3D& grid, Direction dir) const;
+  FftCommLog transform(Grid3D& grid, FftDirection dir) const;
 
   size_t nx_, ny_, nz_, ranks_;
 };

@@ -18,57 +18,51 @@ void Grid3D::fill(Complex value) {
 
 namespace {
 
-enum class Direction { kForward, kInverse };
-
-void transform_axis_x(Grid3D& g, Direction dir) {
-  std::vector<Complex> line(g.nx());
-  for (size_t z = 0; z < g.nz(); ++z) {
-    for (size_t y = 0; y < g.ny(); ++y) {
-      for (size_t x = 0; x < g.nx(); ++x) line[x] = g.at(x, y, z);
-      if (dir == Direction::kForward) fft_forward(line);
-      else fft_inverse(line);
-      for (size_t x = 0; x < g.nx(); ++x) g.at(x, y, z) = line[x];
-    }
+void transform_line(std::vector<Complex>& line, FftDirection dir) {
+  if (dir == FftDirection::kForward) {
+    fft_forward(line);
+  } else {
+    fft_inverse(line);
   }
 }
 
-void transform_axis_y(Grid3D& g, Direction dir) {
-  std::vector<Complex> line(g.ny());
-  for (size_t z = 0; z < g.nz(); ++z) {
-    for (size_t x = 0; x < g.nx(); ++x) {
-      for (size_t y = 0; y < g.ny(); ++y) line[y] = g.at(x, y, z);
-      if (dir == Direction::kForward) fft_forward(line);
-      else fft_inverse(line);
-      for (size_t y = 0; y < g.ny(); ++y) g.at(x, y, z) = line[y];
-    }
-  }
-}
-
-void transform_axis_z(Grid3D& g, Direction dir) {
-  std::vector<Complex> line(g.nz());
-  for (size_t y = 0; y < g.ny(); ++y) {
-    for (size_t x = 0; x < g.nx(); ++x) {
-      for (size_t z = 0; z < g.nz(); ++z) line[z] = g.at(x, y, z);
-      if (dir == Direction::kForward) fft_forward(line);
-      else fft_inverse(line);
-      for (size_t z = 0; z < g.nz(); ++z) g.at(x, y, z) = line[z];
-    }
+void transform(Grid3D& grid, FftDirection dir) {
+  for (size_t z = 0; z < grid.nz(); ++z) fft3d_plane(grid, z, dir);
+  for (size_t y = 0; y < grid.ny(); ++y) {
+    fft3d_columns(grid, y, 0, grid.nx(), dir);
   }
 }
 
 }  // namespace
 
-void fft3d_forward(Grid3D& grid) {
-  transform_axis_x(grid, Direction::kForward);
-  transform_axis_y(grid, Direction::kForward);
-  transform_axis_z(grid, Direction::kForward);
+void fft3d_plane(Grid3D& g, size_t z, FftDirection dir) {
+  std::vector<Complex> line(g.nx());
+  for (size_t y = 0; y < g.ny(); ++y) {
+    for (size_t x = 0; x < g.nx(); ++x) line[x] = g.at(x, y, z);
+    transform_line(line, dir);
+    for (size_t x = 0; x < g.nx(); ++x) g.at(x, y, z) = line[x];
+  }
+  line.resize(g.ny());
+  for (size_t x = 0; x < g.nx(); ++x) {
+    for (size_t y = 0; y < g.ny(); ++y) line[y] = g.at(x, y, z);
+    transform_line(line, dir);
+    for (size_t y = 0; y < g.ny(); ++y) g.at(x, y, z) = line[y];
+  }
 }
 
-void fft3d_inverse(Grid3D& grid) {
-  transform_axis_x(grid, Direction::kInverse);
-  transform_axis_y(grid, Direction::kInverse);
-  transform_axis_z(grid, Direction::kInverse);
+void fft3d_columns(Grid3D& g, size_t y, size_t x_begin, size_t x_end,
+                   FftDirection dir) {
+  std::vector<Complex> line(g.nz());
+  for (size_t x = x_begin; x < x_end; ++x) {
+    for (size_t z = 0; z < g.nz(); ++z) line[z] = g.at(x, y, z);
+    transform_line(line, dir);
+    for (size_t z = 0; z < g.nz(); ++z) g.at(x, y, z) = line[z];
+  }
 }
+
+void fft3d_forward(Grid3D& grid) { transform(grid, FftDirection::kForward); }
+
+void fft3d_inverse(Grid3D& grid) { transform(grid, FftDirection::kInverse); }
 
 FftCommEstimate estimate_fft_cost(size_t nx, size_t ny, size_t nz,
                                   size_t nodes) {

@@ -55,6 +55,27 @@ MdMetrics& md_metrics() {
 
 }  // namespace
 
+double potential_energy(const ForceField& ff, std::span<const Vec3> positions,
+                        const Box& box, double time) {
+  const Topology& topo = ff.topology();
+  std::vector<Vec3> pos(positions.begin(), positions.end());
+  ff::construct_virtual_sites(topo.virtual_sites(), pos, box);
+
+  NeighborList list(topo, ff.model().cutoff, 0.0);
+  list.build(pos, box);
+
+  ForceResult res(topo.atom_count());
+  ff.compute_bonded(pos, box, time, res);
+  ff.compute_nonbonded(list.pairs(), pos, box, res);
+  if (ff.has_kspace()) {
+    // A solver gridded for `box`: the field's own solver is gridded for
+    // the box it last saw, and a trial box needs its own grid.
+    GseSolver solver(box, ff.gse()->params());
+    solver.compute(pos, ff.kspace_charges(), ff.excluded_pairs(), box, res);
+  }
+  return res.energy.total();
+}
+
 void SimulationConfig::validate() const {
   if (!(dt_fs > 0)) {
     throw ConfigError("timestep must be positive, got dt_fs=" +
@@ -109,7 +130,8 @@ Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
   if (config.barostat.kind != BarostatKind::kNone) {
     barostat_.emplace(topo, config.barostat,
                       [this](std::span<const Vec3> pos, const Box& b) {
-                        return evaluate_potential(pos, b);
+                        return md::potential_energy(*ff_, pos, b,
+                                                    state_.time);
                       });
   }
 
@@ -165,15 +187,22 @@ void Simulation::build_step_graph() {
       },
       after_pos);
 
-  const util::TaskId t_kspace = g.add(
-      "md.kspace",
-      [this] {
-        if (!graph_kspace_due_ || !ff_->has_kspace()) return;
-        obs::ScopedTimer timer(md_metrics().kspace_ns);
-        kspace_cache_.reset(ff_->topology().atom_count());
-        ff_->compute_kspace(state_.positions, state_.box, kspace_cache_);
-      },
-      after_pos);
+  // Reciprocal space as its stage chain (stencil → spread → FFT → convolve
+  // → inverse FFT → interpolate → finish), fanned out beside the tiles.
+  // Systems without k-space get no stages at all.
+  std::vector<util::TaskId> reduce_deps = {t_bonded};
+  if (ff_->has_kspace()) {
+    reduce_deps.push_back(ff_->gse()->append_stages(
+        g,
+        [this]() -> std::optional<GseInput> {
+          if (!graph_kspace_due_) return std::nullopt;
+          kspace_cache_.reset(ff_->topology().atom_count());
+          return GseInput{state_.positions,     ff_->kspace_charges(),
+                          ff_->excluded_pairs(), state_.box,
+                          &kspace_cache_,        &md_metrics().kspace_ns};
+        },
+        after_pos));
+  }
 
   const util::TaskId t_gather = g.add(
       "md.nb.gather",
@@ -187,7 +216,7 @@ void Simulation::build_step_graph() {
       },
       {t_list_ready});
 
-  const util::TaskId t_nb = g.add_parallel(
+  reduce_deps.push_back(g.add_parallel(
       "md.nonbonded", [this] { return nb_plan_.chunks; },
       [this](size_t chunk) {
         obs::ScopedTimer timer(md_metrics().nonbonded_ns);
@@ -197,7 +226,7 @@ void Simulation::build_step_graph() {
                                    ff_->vdw_scale(),
                                    ff_->charge_product_scale());
       },
-      {t_gather});
+      {t_gather}));
 
   g.add_reduction(
       "md.reduce",
@@ -224,7 +253,7 @@ void Simulation::build_step_graph() {
           md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
         }
       },
-      {t_bonded, t_nb, t_kspace});
+      reduce_deps);
 }
 
 void Simulation::run_force_graph(ForceResult& sink, bool include_bonded,
@@ -530,31 +559,6 @@ double Simulation::conserved_quantity() const {
 
 double Simulation::pressure_atm() const {
   return md::pressure_atm(ff_->topology(), state_, trace(current_.virial));
-}
-
-double Simulation::evaluate_potential(std::span<const Vec3> positions,
-                                      const Box& box) const {
-  const Topology& topo = ff_->topology();
-  std::vector<Vec3> pos(positions.begin(), positions.end());
-  ff::construct_virtual_sites(topo.virtual_sites(), pos, box);
-
-  NeighborList list(topo, ff_->model().cutoff, 0.0);
-  list.build(pos, box);
-
-  ForceResult res(topo.atom_count());
-  ff_->compute_bonded(pos, box, state_.time, res);
-  ff_->compute_nonbonded(list.pairs(), pos, box, res);
-  if (ff_->has_kspace()) {
-    // A changed box needs a re-gridded solver; keep `this` logically const
-    // by evaluating through a temporary solver when the box differs.
-    if (box.edges() == state_.box.edges()) {
-      ff_->compute_kspace(pos, box, res);
-    } else {
-      GseSolver solver(box, ff_->gse()->params());
-      solver.compute(pos, topo.charges(), topo.excluded_pairs(), box, res);
-    }
-  }
-  return res.energy.total();
 }
 
 void Simulation::rescale_velocities(double factor) {

@@ -57,6 +57,15 @@ struct SimulationConfig {
   void validate() const;
 };
 
+/// Full potential energy of `positions` in `box` under `ff`: virtual sites
+/// constructed, a fresh neighbor list, and k-space (when configured) on a
+/// solver gridded for `box` with the field's scaled charges.  The one
+/// trial-state evaluator: the MC barostat's trial boxes and the H-REMD and
+/// FEP cross-Hamiltonian energies all go through it.
+[[nodiscard]] double potential_energy(const ForceField& ff,
+                                      std::span<const Vec3> positions,
+                                      const Box& box, double time = 0.0);
+
 class Simulation : public util::Checkpointable {
  public:
   /// The force field (and the topology it references) must outlive the
@@ -112,11 +121,6 @@ class Simulation : public util::Checkpointable {
   /// the restored positions; throws IoError on a size or barostat
   /// mismatch with the checkpoint.
   void restore_checkpoint(util::BinaryReader& in) override;
-
-  /// Full potential energy for arbitrary (positions, box): used by the MC
-  /// barostat and by sampling methods evaluating trial states.
-  [[nodiscard]] double evaluate_potential(std::span<const Vec3> positions,
-                                          const Box& box) const;
 
   /// Reseeds stochastic elements (used by replica-exchange drivers).
   void rescale_velocities(double factor);

@@ -4,7 +4,6 @@
 
 #include "analysis/free_energy.hpp"
 #include "obs/metrics.hpp"
-#include "sampling/common.hpp"
 #include "util/error.hpp"
 
 namespace antmd::sampling {
@@ -81,11 +80,13 @@ size_t FepDecoupling::run_windows(size_t count) {
       double u_here = sim.potential_energy();
       const auto& pos = sim.state().positions;
       if (field_next) {
-        double u_next = potential_energy(*field_next, pos, sim.state().box);
+        double u_next =
+            md::potential_energy(*field_next, pos, sim.state().box);
         window.du_to_next.push_back(u_next - u_here);
       }
       if (field_prev) {
-        double u_prev = potential_energy(*field_prev, pos, sim.state().box);
+        double u_prev =
+            md::potential_energy(*field_prev, pos, sim.state().box);
         window.du_to_prev.push_back(u_prev - u_here);
       }
     }

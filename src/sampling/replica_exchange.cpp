@@ -6,7 +6,6 @@
 #include "math/units.hpp"
 #include "md/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "sampling/common.hpp"
 #include "util/error.hpp"
 
 namespace antmd::sampling {
@@ -169,10 +168,10 @@ void HamiltonianReplicaExchange::attempt_exchanges(bool even_pairs) {
     // Cross-Hamiltonian energies: U_a(x_b) and U_b(x_a).
     double u_aa = a.potential_energy();
     double u_bb = b.potential_energy();
-    double u_ab = potential_energy(a.force_field(), b.state().positions,
-                                   b.state().box);
-    double u_ba = potential_energy(b.force_field(), a.state().positions,
-                                   a.state().box);
+    double u_ab = md::potential_energy(a.force_field(), b.state().positions,
+                                       b.state().box);
+    double u_ba = md::potential_energy(b.force_field(), a.state().positions,
+                                       a.state().box);
     double log_acc = -beta * ((u_ab + u_ba) - (u_aa + u_bb));
     if (log_acc >= 0.0 || rng_.uniform() < std::exp(log_acc)) {
       swap_configurations(a, b, temperature_k_, temperature_k_);

@@ -2,7 +2,10 @@
 // the NaCl Madelung constant, force correctness, and corrections.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ewald/gse.hpp"
@@ -10,6 +13,7 @@
 #include "math/rng.hpp"
 #include "math/units.hpp"
 #include "topo/builders.hpp"
+#include "util/task_graph.hpp"
 
 namespace antmd {
 namespace {
@@ -301,6 +305,125 @@ TEST(Gse, WaterBoxTotalElectrostaticsIsCohesive) {
   EXPECT_TRUE(std::isfinite(out.energy.coulomb_kspace.value()));
   EXPECT_GT(out.energy.coulomb_kspace.value(), 0.0);  // recip part positive
   EXPECT_LT(out.energy.coulomb_self.value(), 0.0);    // self/excl negative
+}
+
+// --- staged pipeline: bit identity at any lane count -----------------------
+
+struct StagedCase {
+  std::string name;
+  Box box;
+  GseParams params;
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  std::vector<std::pair<uint32_t, uint32_t>> excluded;
+};
+
+/// Random charges plus the positions that stress the stencil arithmetic:
+/// exactly on grid planes, on and just inside the box edge (where
+/// floor(r/h) can reach n), negative coordinates, and zero charges.
+StagedCase make_case(std::string name, Box box, GseParams params,
+                     uint64_t seed) {
+  StagedCase c{std::move(name), box, params, {}, {}, {}};
+  const GseSolver solver(box, params);
+  const Vec3 e = box.edges();
+  const Vec3 h{e.x / static_cast<double>(solver.nx()),
+               e.y / static_cast<double>(solver.ny()),
+               e.z / static_cast<double>(solver.nz())};
+  SequentialRng rng(seed);
+  for (int i = 0; i < 40; ++i) {
+    c.pos.push_back(Vec3{rng.uniform(0, e.x), rng.uniform(0, e.y),
+                         rng.uniform(0, e.z)});
+  }
+  c.pos.push_back(Vec3{3 * h.x, 5 * h.y, 1 * h.z});  // on grid planes
+  c.pos.push_back(Vec3{0.0, 0.0, 0.0});
+  c.pos.push_back(e);  // the far corner wraps onto the origin
+  c.pos.push_back(Vec3{std::nextafter(e.x, 0.0), std::nextafter(e.y, 0.0),
+                       std::nextafter(e.z, 0.0)});
+  c.pos.push_back(Vec3{-0.0, -2.5 * h.y, -e.z - 0.3});  // negative
+  c.pos.push_back(Vec3{-3.7, e.y + 1.1, -7 * h.z});
+  for (size_t i = 0; i < c.pos.size(); ++i) {
+    // Every seventh atom carries no charge; the rest alternate in sign.
+    c.charges.push_back(i % 7 == 3 ? 0.0 : (i % 2 == 0 ? 0.6 : -0.55));
+  }
+  c.excluded = {{0, 1}, {2, 3}, {3, 10}, {41, 42}};
+  return c;
+}
+
+std::vector<StagedCase> staged_cases() {
+  std::vector<StagedCase> cases;
+  GseParams p;
+  p.beta = 0.4;
+  p.grid_spacing = 1.0;
+  cases.push_back(make_case("non_cubic", Box(20, 40, 10), p, 3));
+  // Grid dimensions are powers of two and a stencil is odd, so the tightest
+  // legal fit is 2·support+1 == min(nx, ny, nz) - 1: here 7 on an 8-grid.
+  p.beta = 0.6;
+  cases.push_back(make_case("tight_stencil", Box::cubic(8.0), p, 5));
+  // The smallest legal grid: 4 planes along z with a 3-point stencil.
+  p.beta = 0.8;
+  p.grid_spacing = 2.5;
+  cases.push_back(make_case("four_planes", Box(20, 40, 10), p, 7));
+  return cases;
+}
+
+/// Runs the stage DAG on a `lanes`-lane runtime.  The graph runs twice
+/// (each run allocates its own workspace) and a skipped run in between
+/// must leave the output alone.
+ForceResult run_staged(const GseSolver& solver, const StagedCase& c,
+                       size_t lanes) {
+  ForceResult out(c.pos.size());
+  bool due = true;
+  util::TaskGraph graph(util::TaskRuntime::create(lanes), "ewald_test.gse");
+  solver.append_stages(graph, [&]() -> std::optional<GseInput> {
+    if (!due) return std::nullopt;
+    out.reset(c.pos.size());
+    return GseInput{c.pos, c.charges, c.excluded, c.box, &out};
+  });
+  graph.run();
+  due = false;
+  graph.run();
+  due = true;
+  graph.run();
+  return out;
+}
+
+TEST(GseStages, BitIdenticalToSerialAtAnyLaneCount) {
+  for (const StagedCase& c : staged_cases()) {
+    const GseSolver solver(c.box, c.params);
+    ForceResult serial(c.pos.size());
+    solver.compute(c.pos, c.charges, c.excluded, c.box, serial);
+    ASSERT_NE(serial.energy.coulomb_kspace.raw(), 0) << c.name;
+    for (size_t lanes : {1u, 2u, 4u, 8u}) {
+      const ForceResult staged = run_staged(solver, c, lanes);
+      const std::string where =
+          c.name + " at " + std::to_string(lanes) + " lanes";
+      EXPECT_EQ(staged.energy.coulomb_kspace.raw(),
+                serial.energy.coulomb_kspace.raw())
+          << where;
+      EXPECT_EQ(staged.energy.coulomb_self.raw(),
+                serial.energy.coulomb_self.raw())
+          << where;
+      for (size_t i = 0; i < c.pos.size(); ++i) {
+        EXPECT_EQ(staged.forces.quanta(i), serial.forces.quanta(i))
+            << where << ", atom " << i;
+      }
+      for (int k = 0; k < 9; ++k) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(staged.virial.m[k]),
+                  std::bit_cast<uint64_t>(serial.virial.m[k]))
+            << where << ", virial component " << k;
+      }
+    }
+  }
+}
+
+TEST(GseStages, CasesCoverTheGridEdges) {
+  const std::vector<StagedCase> cases = staged_cases();
+  const GseSolver tight(cases[1].box, cases[1].params);
+  EXPECT_EQ(tight.nx(), 8u);
+  EXPECT_EQ(tight.workload(1).spread_stencil_points, 7u * 7u * 7u);
+  const GseSolver smallest(cases[2].box, cases[2].params);
+  EXPECT_EQ(smallest.nz(), 4u);
+  EXPECT_EQ(smallest.workload(1).spread_stencil_points, 3u * 3u * 3u);
 }
 
 }  // namespace

@@ -54,8 +54,9 @@ struct KernelResults {
         cluster_list(topo, cutoff, kSkin, /*cluster_mode=*/true) {}
 };
 
-/// Evaluates bonded + real-space nonbonded with both kernels.
-KernelResults evaluate_both(const SystemSpec& spec, const ForceField& ffield) {
+/// Evaluates bonded + real-space nonbonded with both kernels, plus the
+/// reciprocal-space part into both when the model has one.
+KernelResults evaluate_both(const SystemSpec& spec, ForceField& ffield) {
   KernelResults r(spec.topology, ffield.model().cutoff);
   r.pair_list.build(spec.positions, spec.box);
   r.cluster_list.build(spec.positions, spec.box);
@@ -68,18 +69,31 @@ KernelResults evaluate_both(const SystemSpec& spec, const ForceField& ffield) {
   ffield.compute_bonded(spec.positions, spec.box, 0.0, r.cluster);
   ffield.compute_nonbonded_clusters(*r.clusters, spec.positions, spec.box,
                                     r.cluster);
+  if (ffield.has_kspace()) {
+    ffield.on_box_changed(spec.box);
+    ffield.compute_kspace(spec.positions, spec.box, r.pair);
+    ffield.compute_kspace(spec.positions, spec.box, r.cluster);
+  }
   return r;
 }
 
+/// The energy terms a fixture pins; reciprocal-space cases add the two
+/// GSE terms, which real-space-only fixtures do not carry.
 std::vector<std::pair<std::string, const FixedScalar*>> terms_of(
-    const EnergyBreakdown& e) {
-  return {{"bond", &e.bond},
-          {"angle", &e.angle},
-          {"dihedral", &e.dihedral},
-          {"vdw", &e.vdw},
-          {"coulomb_real", &e.coulomb_real},
-          {"pair14", &e.pair14},
-          {"restraint", &e.restraint}};
+    const EnergyBreakdown& e, bool kspace) {
+  std::vector<std::pair<std::string, const FixedScalar*>> terms = {
+      {"bond", &e.bond},
+      {"angle", &e.angle},
+      {"dihedral", &e.dihedral},
+      {"vdw", &e.vdw},
+      {"coulomb_real", &e.coulomb_real},
+      {"pair14", &e.pair14},
+      {"restraint", &e.restraint}};
+  if (kspace) {
+    terms.push_back({"coulomb_kspace", &e.coulomb_kspace});
+    terms.push_back({"coulomb_self", &e.coulomb_self});
+  }
+  return terms;
 }
 
 std::vector<size_t> sample_atoms(size_t n) {
@@ -95,14 +109,15 @@ bool regen_requested() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-void write_golden(const std::string& name, const ForceResult& res) {
+void write_golden(const std::string& name, const ForceResult& res,
+                  bool kspace) {
   std::ofstream out(golden_path(name));
   ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
   out.precision(15);
   out << std::scientific;
   out << "# antmd golden fixture: " << name << "\n";
   out << "# regenerate with scripts/regen_golden.sh\n";
-  for (const auto& [term, value] : terms_of(res.energy)) {
+  for (const auto& [term, value] : terms_of(res.energy, kspace)) {
     out << "term " << term << " " << value->value() << "\n";
   }
   for (size_t i : sample_atoms(res.forces.size())) {
@@ -167,8 +182,9 @@ void run_golden_case(const std::string& name, const SystemSpec& spec,
   ASSERT_LE(r.clusters->fill_ratio(), 1.0);
 
   // Layer 1 — differential: EXACT fixed-point agreement between kernels.
-  auto pair_terms = terms_of(r.pair.energy);
-  auto cluster_terms = terms_of(r.cluster.energy);
+  const bool kspace = ffield.has_kspace();
+  auto pair_terms = terms_of(r.pair.energy, kspace);
+  auto cluster_terms = terms_of(r.cluster.energy, kspace);
   for (size_t t = 0; t < pair_terms.size(); ++t) {
     EXPECT_EQ(pair_terms[t].second->raw(), cluster_terms[t].second->raw())
         << name << " term " << pair_terms[t].first
@@ -189,7 +205,7 @@ void run_golden_case(const std::string& name, const SystemSpec& spec,
 
   // Layer 2 — vs committed goldens (or regenerate them).
   if (regen_requested()) {
-    write_golden(name, r.pair);
+    write_golden(name, r.pair, kspace);
     return;
   }
   Golden g = read_golden(name);
@@ -237,6 +253,18 @@ TEST(GoldenTest, IonicSolution) {
   m.cutoff = 6.0;
   m.electrostatics = ff::Electrostatics::kReactionCutoff;
   run_golden_case("ionic_125_4", build_ionic_solution(125, 4, 7), m);
+}
+
+// Reciprocal space: flexible water under GSE.  The fixture pins
+// coulomb_kspace and coulomb_self next to the real-space terms, and its
+// sampled forces and virial trace include the k-space part.
+TEST(GoldenTest, GseWater) {
+  ff::NonbondedModel m;
+  m.cutoff = 7.0;
+  m.electrostatics = ff::Electrostatics::kEwaldReal;
+  m.ewald_beta = 0.4;
+  run_golden_case("gse_water_216",
+                  build_water_box(216, WaterModel::kFlexible3Site, 7), m);
 }
 
 // Cluster kernel bit-identity across thread counts, including the

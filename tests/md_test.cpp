@@ -450,16 +450,44 @@ TEST(SimulationTest, VirtualSiteWaterRunsStably) {
   }
 }
 
-TEST(SimulationTest, EvaluatePotentialMatchesCurrentEnergy) {
+TEST(SimulationTest, PotentialEnergyMatchesCurrentEnergy) {
   auto spec = build_lj_fluid(64, 0.021, 29);
   ff::NonbondedModel model;
   model.cutoff = 6.0;
   model.electrostatics = ff::Electrostatics::kNone;
   ForceField field(spec.topology, model);
   Simulation sim(field, spec.positions, spec.box, nve_config());
-  double direct = sim.evaluate_potential(sim.state().positions,
-                                         sim.state().box);
+  double direct =
+      md::potential_energy(field, sim.state().positions, sim.state().box);
   EXPECT_NEAR(direct, sim.potential_energy(), 1e-6);
+}
+
+// The trial-state evaluator (MC barostat, H-REMD, FEP) must honor the
+// charge-product scale on any box, not only the one the field's solver is
+// gridded for: a field at scale s has to match a field whose charges are
+// scaled by √s, on the current box and on a 1.01× trial box.
+TEST(SimulationTest, TrialBoxEnergyHonorsChargeScaling) {
+  auto spec = build_water_box(125, WaterModel::kRigid3Site, 3);
+  ff::NonbondedModel model;
+  model.cutoff = 6.0;
+  model.electrostatics = ff::Electrostatics::kEwaldReal;
+  model.ewald_beta = 0.4;
+  ForceField field(spec.topology, model);
+  field.set_charge_product_scale(0.5);
+  field.on_box_changed(spec.box);
+
+  Topology scaled = spec.topology;
+  for (double& q : scaled.mutable_charges()) q *= std::sqrt(0.5);
+  ForceField reference(scaled, model);
+
+  const Vec3 e = spec.box.edges();
+  const Box trial(1.01 * e.x, 1.01 * e.y, 1.01 * e.z);
+  for (const Box& box : {spec.box, trial}) {
+    const double want = md::potential_energy(reference, spec.positions, box);
+    EXPECT_NEAR(md::potential_energy(field, spec.positions, box), want,
+                1e-9 * std::abs(want))
+        << "box edge " << box.edges().x;
+  }
 }
 
 TEST(SimulationTest, SteeredSpringDoesWorkOnDimer) {

@@ -8,7 +8,6 @@
 #include "analysis/free_energy.hpp"
 #include "ff/forcefield.hpp"
 #include "md/simulation.hpp"
-#include "sampling/common.hpp"
 #include "sampling/fep.hpp"
 #include "sampling/metadynamics.hpp"
 #include "sampling/replica_exchange.hpp"
@@ -45,8 +44,8 @@ TEST(Common, PotentialEnergyMatchesSimulation) {
   auto model = lj_model();
   ForceField field(spec.topology, model);
   md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
-  double direct = potential_energy(field, sim.state().positions,
-                                   sim.state().box);
+  double direct = md::potential_energy(field, sim.state().positions,
+                                       sim.state().box);
   EXPECT_NEAR(direct, sim.potential_energy(),
               1e-9 * std::abs(sim.potential_energy()) + 1e-9);
 }
@@ -235,8 +234,8 @@ TEST(Fep, LambdaOneMatchesPlainLJ) {
 
   auto coupled = fep.make_field(1.0);
   ForceField plain(spec.topology, model);
-  double u_sc = potential_energy(*coupled, spec.positions, spec.box);
-  double u_lj = potential_energy(plain, spec.positions, spec.box);
+  double u_sc = md::potential_energy(*coupled, spec.positions, spec.box);
+  double u_lj = md::potential_energy(plain, spec.positions, spec.box);
   EXPECT_NEAR(u_sc, u_lj, 0.02 * std::abs(u_lj) + 0.05);
 }
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "io/system_io.hpp"
-#include "sampling/common.hpp"
+#include "md/simulation.hpp"
 #include "topo/builders.hpp"
 #include "util/error.hpp"
 
@@ -59,9 +59,8 @@ TEST(SystemIo, PolymerEnergyIdenticalAfterRoundTrip) {
   model.electrostatics = ff::Electrostatics::kNone;
   ForceField fa(spec.topology, model);
   ForceField fb(restored.topology, model);
-  double ua = sampling::potential_energy(fa, spec.positions, spec.box);
-  double ub = sampling::potential_energy(fb, restored.positions,
-                                         restored.box);
+  double ua = md::potential_energy(fa, spec.positions, spec.box);
+  double ub = md::potential_energy(fb, restored.positions, restored.box);
   EXPECT_EQ(ua, ub);  // bitwise: same inputs through the same kernels
 }
 
