@@ -57,7 +57,7 @@ void wall_clock_scaling(MetricList& report) {
       mc.neighbor_skin = 1.0;
       mc.thermostat.kind = md::ThermostatKind::kLangevin;
       mc.thermostat.temperature_k = 300.0;
-      mc.engine.execution.threads = threads;
+      mc.execution.threads = threads;
       mc.nonbonded_kernel = kernel;
       runtime::MachineSimulation sim(field,
                                      machine::anton_with_torus(4, 4, 4),

@@ -30,7 +30,7 @@ std::vector<Vec3> run_machine(const SystemSpec& spec,
   cfg.init_temperature_k = 250.0;
   cfg.thermostat.kind = md::ThermostatKind::kLangevin;
   cfg.thermostat.temperature_k = 250.0;
-  cfg.engine.execution.threads = threads;
+  cfg.execution.threads = threads;
   auto positions = spec.positions;
   if (perturb != 0.0) positions[0].x += perturb;
   runtime::MachineSimulation sim(field, machine::anton_with_torus(n, n, n),

@@ -1,7 +1,8 @@
 // antmd_run: config-file-driven simulation driver.
 //
-// Describes a run in a small `key = value` file and executes it on either
-// the plain host engine or the modeled machine, e.g.:
+// Describes a run in a small `key = value` file and executes it with the
+// one integrator (md::Simulation), its forces from the host step graph or
+// from the modeled machine, e.g.:
 //
 //   # water.cfg
 //   system       = water        # water | ljfluid | polymer | bilayer | dimer
@@ -10,6 +11,9 @@
 //   nodes        = 4            # torus edge when engine = machine
 //   steps        = 500
 //   dt_fs        = 2.0
+//   kspace_interval = 2         # default 1 on the host, 2 on the machine
+//   respa_inner  = 1            # host only; the machine rejects > 1
+//   barostat     = none         # none | mc | berendsen | semiiso (host only)
 //   temperature  = 300
 //   thermostat   = langevin     # none | berendsen | langevin | nosehoover
 //   electrostatics = gse        # none | cutoff | gse
@@ -110,7 +114,6 @@
 #include "io/checkpoint.hpp"
 #include "io/config.hpp"
 #include "io/trajectory.hpp"
-#include "md/builder.hpp"
 #include "md/simulation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -572,23 +575,44 @@ int main(int argc, char** argv) {
                 ff::to_string(ff::active_kernel_isa()));
 
     std::string engine = cfg.get_string("engine", "host");
+    if (engine != "host" && engine != "machine") {
+      throw ConfigError("unknown engine: " + engine);
+    }
+    // One integrator config for both engines, each on its own defaults
+    // (the machine's: k-space every second step, no COM removal).
+    runtime::MachineSimConfig machine_config;
+    md::SimulationConfig host_config;
+    md::SimulationConfig& sc =
+        engine == "machine" ? machine_config : host_config;
+    sc.dt_fs = cfg.get_double("dt_fs", 2.0);
+    sc.kspace_interval = cfg.get_int("kspace_interval", sc.kspace_interval);
+    sc.respa_inner = cfg.get_int("respa_inner", 1);
+    sc.neighbor_skin = cfg.get_double("skin", 1.0);
+    sc.nonbonded_kernel = ff::parse_nonbonded_kernel(
+        cfg.get_string("nonbonded_kernel", "cluster"));
+    sc.init_temperature_k = cfg.get_double("temperature", 300.0);
+    sc.thermostat = build_thermostat(cfg);
+    std::string barostat = cfg.get_string("barostat", "none");
+    if (barostat == "mc") {
+      sc.barostat.kind = md::BarostatKind::kMonteCarlo;
+    } else if (barostat == "berendsen") {
+      sc.barostat.kind = md::BarostatKind::kBerendsen;
+    } else if (barostat == "semiiso") {
+      sc.barostat.kind = md::BarostatKind::kBerendsenSemiIso;
+    } else {
+      ANTMD_REQUIRE(barostat == "none", "unknown barostat: " + barostat);
+    }
+    sc.barostat.pressure_atm = cfg.get_double("pressure", 1.0);
+    sc.execution = exec;
+
     double run_wall_seconds = 0.0;
     double modeled_ns_day = 0.0;
-    const double dt_fs = cfg.get_double("dt_fs", 2.0);
+    const double dt_fs = sc.dt_fs;
     if (engine == "machine") {
-      runtime::MachineSimConfig mc;
-      mc.dt_fs = cfg.get_double("dt_fs", 2.0);
-      mc.kspace_interval = cfg.get_int("kspace_interval", 2);
-      mc.neighbor_skin = cfg.get_double("skin", 1.0);
-      mc.nonbonded_kernel = ff::parse_nonbonded_kernel(
-          cfg.get_string("nonbonded_kernel", "cluster"));
-      mc.init_temperature_k = cfg.get_double("temperature", 300.0);
-      mc.thermostat = build_thermostat(cfg);
-      mc.engine.execution = exec;
       int edge = cfg.get_int("nodes", 4);
       runtime::MachineSimulation sim(
           field, machine::anton_with_torus(edge, edge, edge), spec.positions,
-          spec.box, mc);
+          spec.box, machine_config);
       Table table({"step", "T (K)", "potential", "modeled ns/day"});
       sim.add_observer(
           [&](const md::StepInfo& info) {
@@ -606,32 +630,8 @@ int main(int argc, char** argv) {
       std::fputs(table.render().c_str(), stdout);
       std::printf("modeled mean step: %.2f us on %zu nodes\n",
                   sim.mean_step_time_s() * 1e6, sim.engine().node_count());
-    } else if (engine == "host") {
-      std::string barostat = cfg.get_string("barostat", "none");
-      md::BarostatConfig bc;
-      if (barostat == "mc") {
-        bc.kind = md::BarostatKind::kMonteCarlo;
-      } else if (barostat == "berendsen") {
-        bc.kind = md::BarostatKind::kBerendsen;
-      } else if (barostat == "semiiso") {
-        bc.kind = md::BarostatKind::kBerendsenSemiIso;
-      } else {
-        ANTMD_REQUIRE(barostat == "none", "unknown barostat: " + barostat);
-      }
-      bc.pressure_atm = cfg.get_double("pressure", 1.0);
-      md::Simulation sim =
-          md::SimulationBuilder()
-              .dt_fs(cfg.get_double("dt_fs", 2.0))
-              .kspace_interval(cfg.get_int("kspace_interval", 1))
-              .respa_inner(cfg.get_int("respa_inner", 1))
-              .neighbor_skin(cfg.get_double("skin", 1.0))
-              .nonbonded_kernel(ff::parse_nonbonded_kernel(
-                  cfg.get_string("nonbonded_kernel", "cluster")))
-              .init_temperature(cfg.get_double("temperature", 300.0))
-              .thermostat(build_thermostat(cfg))
-              .barostat(bc)
-              .execution(exec)
-              .build(field, spec.positions, spec.box);
+    } else {
+      md::Simulation sim(field, spec.positions, spec.box, host_config);
       Table table({"step", "T (K)", "potential", "pressure (atm)"});
       sim.add_observer(
           [&](const md::StepInfo& info) {
@@ -646,8 +646,6 @@ int main(int argc, char** argv) {
       run_wall_seconds =
           run_simulation(sim, static_cast<size_t>(steps), robust);
       std::fputs(table.render().c_str(), stdout);
-    } else {
-      throw ConfigError("unknown engine: " + engine);
     }
     if (xyz) {
       std::printf("wrote %zu frames to %s\n", xyz->frames_written(),

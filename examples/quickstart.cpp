@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   // The synthetic lattice releases several kcal/mol per molecule of
   // electrostatic cohesion as it melts; strong friction absorbs it.
   cfg.thermostat.gamma_per_ps = 10.0;
-  cfg.engine.execution.threads =
-      static_cast<size_t>(cli.get_int("threads"));
+  cfg.execution.threads = static_cast<size_t>(cli.get_int("threads"));
   runtime::MachineSimulation sim(field,
                                  machine::anton_with_torus(edge, edge, edge),
                                  spec.positions, spec.box, cfg);

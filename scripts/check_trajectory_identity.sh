@@ -17,6 +17,14 @@
 #   machine      examples/configs/water_machine.cfg for 60 steps
 #   lj_pair      512-atom LJ fluid, nonbonded_kernel = pair
 #   lj_cluster   512-atom LJ fluid, nonbonded_kernel = cluster
+#   host_nan     216 rigid3 waters, GSE, 60 steps under the Supervisor with
+#                fault = nan_force:25 (one rollback: the host restore path)
+#   machine_nan  water_machine.cfg for 60 steps, same supervision and fault
+#                (the machine restore path)
+#   machine_pair water_machine.cfg for 40 steps, nonbonded_kernel = pair
+#   machine_rigid4 water_machine.cfg for 40 steps, water_model = rigid4 (the
+#                machine builds its first neighbor list before it constructs
+#                virtual sites, the host after)
 #
 # Usage: scripts/check_trajectory_identity.sh REV [build-dir]
 #   REV        any commit-ish (e.g. HEAD~1, a tag, a hash)
@@ -127,6 +135,36 @@ EOF
       sed -E 's/^steps[[:space:]]*=.*/steps = 60/' \
         examples/configs/water_machine.cfg
       ;;
+    host_nan)
+      cat <<'EOF'
+system = water
+size = 216
+steps = 60
+temperature = 300
+thermostat = langevin
+electrostatics = gse
+cutoff = 6.0
+skin = 1.0
+seed = 5
+supervise = true
+fault = nan_force:25
+EOF
+      ;;
+    machine_nan)
+      sed -E 's/^steps[[:space:]]*=.*/steps = 60/' \
+        examples/configs/water_machine.cfg
+      printf 'supervise = true\nfault = nan_force:25\n'
+      ;;
+    machine_pair)
+      sed -E 's/^steps[[:space:]]*=.*/steps = 40/' \
+        examples/configs/water_machine.cfg
+      echo 'nonbonded_kernel = pair'
+      ;;
+    machine_rigid4)
+      sed -E -e 's/^steps[[:space:]]*=.*/steps = 40/' \
+        -e 's/^water_model[[:space:]]*=.*/water_model = rigid4/' \
+        examples/configs/water_machine.cfg
+      ;;
     lj_pair|lj_cluster)
       cat <<EOF
 system = ljfluid
@@ -162,7 +200,8 @@ run_case() {  # binary label case threads -> checkpoint path
 
 status=0
 for name in water512 rigid4 flex_respa bilayer_npt water_mc machine \
-            lj_pair lj_cluster; do
+            lj_pair lj_cluster host_nan machine_nan machine_pair \
+            machine_rigid4; do
   for threads in 1 4; do
     old="$(run_case "$RUN_OLD" rev "$name" "$threads")" || { status=1; continue; }
     new="$(run_case "$RUN_NEW" tree "$name" "$threads")" || { status=1; continue; }

@@ -53,8 +53,7 @@ namespace {
 // loop, so per-pair type loads and grid indexing disappear.  All variants
 // produce bit-identical results to the generic path; they only shed work
 // that is provably dead.
-template <bool kHasElec, bool kUnitScale, bool kTightTables, bool kSingleType,
-          unsigned kWidth>
+template <bool kHasElec, bool kUnitScale, bool kTightTables, bool kSingleType>
 void cluster_entries_impl(const ClusterPairList& list,
                           std::span<const ClusterPairEntry> entries,
                           std::span<const RadialTableView> grid,
@@ -102,11 +101,11 @@ void cluster_entries_impl(const ClusterPairList& list,
   // i-cluster.  The i-side quanta accumulate across the whole run and hit
   // memory once per run (~tens of tiles) instead of once per tile; integer
   // addition is order-independent, so per-atom totals are unchanged.
-  int64_t fi[kWidth][3] = {};
+  int64_t fi[kClusterWidth][3] = {};
   uint32_t run_ci = entries.empty() ? 0u : entries.front().ci;
   auto flush_fi = [&](uint32_t ci) {
-    const size_t b = static_cast<size_t>(ci) * kWidth;
-    for (unsigned k = 0; k < kWidth; ++k) {
+    const size_t b = static_cast<size_t>(ci) * kClusterWidth;
+    for (unsigned k = 0; k < kClusterWidth; ++k) {
       if ((fi[k][0] | fi[k][1] | fi[k][2]) != 0) {
         forces.add_quanta(list.atoms[b + k], {fi[k][0], fi[k][1], fi[k][2]});
         fi[k][0] = 0; fi[k][1] = 0; fi[k][2] = 0;
@@ -119,7 +118,7 @@ void cluster_entries_impl(const ClusterPairList& list,
       flush_fi(run_ci);
       run_ci = e.ci;
     }
-    const size_t bi = static_cast<size_t>(e.ci) * kWidth;
+    const size_t bi = static_cast<size_t>(e.ci) * kClusterWidth;
     const size_t bj = static_cast<size_t>(e.cj) * kClusterJWidth;
     // The j-side quanta stay in registers for the tile; one scatter per
     // touched slot at tile end instead of a memory round trip per pair.
@@ -203,15 +202,14 @@ void cluster_entries_impl(const ClusterPairList& list,
   energy.coulomb_real.add_raw(e_elec_q);
 }
 
-template <unsigned kWidth>
-void run_scalar_width(const ClusterPairList& list,
-                      std::span<const ClusterPairEntry> entries,
-                      std::span<const RadialTableView> grid, size_t n_types,
-                      const RadialTableView& elec, bool has_elec, bool unit,
-                      bool tight, double cutoff2, const Box& box,
-                      FixedForceArray& forces, EnergyBreakdown& energy,
-                      Mat3& virial, double vdw_scale,
-                      double charge_product_scale) {
+void run_scalar(const ClusterPairList& list,
+                std::span<const ClusterPairEntry> entries,
+                std::span<const RadialTableView> grid, size_t n_types,
+                const RadialTableView& elec, bool has_elec, bool unit,
+                bool tight, double cutoff2, const Box& box,
+                FixedForceArray& forces, EnergyBreakdown& energy,
+                Mat3& virial, double vdw_scale,
+                double charge_product_scale) {
   auto run = [&](auto impl) {
     impl(list, entries, grid, n_types, elec, cutoff2, box, forces, energy,
          virial, vdw_scale, charge_product_scale);
@@ -219,26 +217,26 @@ void run_scalar_width(const ClusterPairList& list,
   const bool single = n_types == 1;
   if (has_elec) {
     if (unit && tight && single)
-      run(cluster_entries_impl<true, true, true, true, kWidth>);
+      run(cluster_entries_impl<true, true, true, true>);
     else if (unit && tight)
-      run(cluster_entries_impl<true, true, true, false, kWidth>);
+      run(cluster_entries_impl<true, true, true, false>);
     else if (unit)
-      run(cluster_entries_impl<true, true, false, false, kWidth>);
+      run(cluster_entries_impl<true, true, false, false>);
     else if (tight)
-      run(cluster_entries_impl<true, false, true, false, kWidth>);
+      run(cluster_entries_impl<true, false, true, false>);
     else
-      run(cluster_entries_impl<true, false, false, false, kWidth>);
+      run(cluster_entries_impl<true, false, false, false>);
   } else {
     if (unit && tight && single)
-      run(cluster_entries_impl<false, true, true, true, kWidth>);
+      run(cluster_entries_impl<false, true, true, true>);
     else if (unit && tight)
-      run(cluster_entries_impl<false, true, true, false, kWidth>);
+      run(cluster_entries_impl<false, true, true, false>);
     else if (unit)
-      run(cluster_entries_impl<false, true, false, false, kWidth>);
+      run(cluster_entries_impl<false, true, false, false>);
     else if (tight)
-      run(cluster_entries_impl<false, false, true, false, kWidth>);
+      run(cluster_entries_impl<false, false, true, false>);
     else
-      run(cluster_entries_impl<false, false, false, false, kWidth>);
+      run(cluster_entries_impl<false, false, false, false>);
   }
 }
 
@@ -250,8 +248,7 @@ void compute_cluster_entries(const ClusterPairList& list,
                              FixedForceArray& forces, EnergyBreakdown& energy,
                              Mat3& virial, double vdw_scale,
                              double charge_product_scale) {
-  ANTMD_REQUIRE(cluster_width_supported(list.width),
-                "unsupported cluster width");
+  ANTMD_REQUIRE(list.width == kClusterWidth, "unsupported cluster width");
   // ISA dispatch: every SIMD variant is bit-identical to the scalar path,
   // so this only changes speed.  The gather arena gate falls back to
   // scalar when custom tables broke geometry uniformity.
@@ -285,8 +282,7 @@ void compute_cluster_entries_scalar(
     const PairTableSet& tables, const Box& box, FixedForceArray& forces,
     EnergyBreakdown& energy, Mat3& virial, double vdw_scale,
     double charge_product_scale) {
-  ANTMD_REQUIRE(cluster_width_supported(list.width),
-                "unsupported cluster width");
+  ANTMD_REQUIRE(list.width == kClusterWidth, "unsupported cluster width");
   const double cutoff2 = tables.model().cutoff * tables.model().cutoff;
   const bool has_elec = tables.elec_table().has_value();
   const RadialTableView elec =
@@ -307,17 +303,9 @@ void compute_cluster_entries_scalar(
   }
   const bool unit = vdw_scale == 1.0 && charge_product_scale == 1.0;
 
-  if (list.width == kMaxClusterWidth) {
-    run_scalar_width<kMaxClusterWidth>(
-        list, entries, std::span<const RadialTableView>(grid), n_types, elec,
-        has_elec, unit, tight, cutoff2, box, forces, energy, virial, vdw_scale,
-        charge_product_scale);
-  } else {
-    run_scalar_width<kMinClusterWidth>(
-        list, entries, std::span<const RadialTableView>(grid), n_types, elec,
-        has_elec, unit, tight, cutoff2, box, forces, energy, virial, vdw_scale,
-        charge_product_scale);
-  }
+  run_scalar(list, entries, std::span<const RadialTableView>(grid), n_types,
+             elec, has_elec, unit, tight, cutoff2, box, forces, energy, virial,
+             vdw_scale, charge_product_scale);
 }
 
 util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list) {

@@ -2,18 +2,18 @@
 // antmd's deterministic fixed-point contract).
 //
 // The flat pair list streams one (i, j) entry per interaction; the cluster
-// list regroups *exactly the same pair set* into width×4 tiles (the GROMACS
-// N×M split: i-clusters of `width` atoms — 4 or 8 at runtime — against
-// fixed 4-atom j-groups): atoms are ordered by a fine spatial grid, chunked
-// into clusters of `width`, and every surviving flat pair becomes one bit
-// in the interaction mask of its (cluster_i, j_group) tile.  Keeping the j
-// side at 4 slots means an empty half of a wide tile is simply never
-// emitted, so widening the i side does not dilute the mask fill.  The
-// kernel gathers coordinates and per-atom parameters once per cluster
-// (SoA), walks the mask bits, and accumulates forces/energies through the
-// same quantize-once fixed-point path as ff::compute_pairs — so the two
-// kernels are bit-identical in every fixed-point sum, and the tile
-// structure only changes memory traffic and per-pair overhead, not physics.
+// list regroups *exactly the same pair set* into 8×4 tiles (the GROMACS
+// N×M split: i-clusters of 8 atoms against fixed 4-atom j-groups): atoms
+// are ordered by a fine spatial grid, chunked into clusters of 8, and
+// every surviving flat pair becomes one bit in the interaction mask of its
+// (cluster_i, j_group) tile.  Keeping the j side at 4 slots means an
+// empty half of a wide tile is simply never emitted, so the wide i side
+// does not dilute the mask fill.  The kernel gathers coordinates and
+// per-atom parameters once per cluster (SoA), walks the mask bits, and
+// accumulates forces/energies through the same quantize-once fixed-point
+// path as ff::compute_pairs — so the two kernels are bit-identical in
+// every fixed-point sum, and the tile structure only changes memory
+// traffic and per-pair overhead, not physics.
 //
 // Determinism contract (mirrors util::ExecutionContext):
 //   - forces and energies are integer sums → independent of tile order,
@@ -52,22 +52,14 @@ enum class NonbondedKernel {
 [[nodiscard]] NonbondedKernel parse_nonbonded_kernel(const std::string& name);
 [[nodiscard]] const char* to_string(NonbondedKernel kernel);
 
-/// Supported i-cluster widths (one tile covers width × kClusterJWidth
-/// candidate pairs).  Width 4 is the narrow legacy shape; width 8 doubles
-/// the i-side reuse for SIMD row streaming and is the default.
-inline constexpr uint32_t kMinClusterWidth = 4;
-inline constexpr uint32_t kMaxClusterWidth = 8;
-inline constexpr uint32_t kDefaultClusterWidth = 8;
+/// Atoms per i-cluster: one tile covers kClusterWidth × kClusterJWidth
+/// candidate pairs, and the 8-wide i side feeds SIMD row streaming.
+inline constexpr uint32_t kClusterWidth = 8;
 
 /// J-side tile width: always 4 slots.  Tile entries key on 4-slot j-groups
-/// (two per 8-atom cluster), so the mask layout — bit a*4+b — is the same
-/// at every i-width and empty tile halves are never streamed.
+/// (two per 8-atom cluster), so the mask layout is bit a*4+b and empty
+/// tile halves are never streamed.
 inline constexpr uint32_t kClusterJWidth = 4;
-
-/// True for the widths the kernels are compiled for.
-[[nodiscard]] constexpr bool cluster_width_supported(uint32_t width) {
-  return width == kMinClusterWidth || width == kMaxClusterWidth;
-}
 
 /// Slot sentinel for the ragged last cluster.
 inline constexpr uint32_t kPadAtom = 0xffffffffu;
@@ -98,7 +90,7 @@ struct ClusterEvalScratch {
 struct ClusterPairEntry {
   uint32_t ci = 0;
   uint32_t cj = 0;    ///< ci's slot base never exceeds cj's last slot
-  uint64_t mask = 0;  ///< 16 bits used at width 4, 32 at width 8
+  uint64_t mask = 0;  ///< 32 bits used
   /// Periodic shift of cj's cell relative to ci's at build time, encoded as
   /// (sx+1) + 3*(sy+1) + 9*(sz+1) with s ∈ {-1,0,1} (13 = no wrap).  This is
   /// what the hardware import machinery would key on; the software kernel
@@ -112,8 +104,8 @@ struct ClusterPairEntry {
 /// Built by md::NeighborList from its flat pair vector (see
 /// NeighborList::clusters()); consumed by compute_clusters().
 struct ClusterPairList {
-  /// Atoms per cluster: 4 or 8 (see cluster_width_supported).
-  uint32_t width = kDefaultClusterWidth;
+  /// Atoms per cluster (kClusterWidth).
+  uint32_t width = kClusterWidth;
   /// Slot -> global atom id, kPadAtom in padded slots; size is
   /// cluster_count() * width.
   std::vector<uint32_t> atoms;

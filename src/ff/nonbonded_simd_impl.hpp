@@ -137,7 +137,7 @@ void cluster_entries_simd(const ClusterPairList& list,
   alignas(64) int64_t lanes_i64[T::kLanes];
   alignas(64) double lanes_pd[T::kLanes];
 
-  int64_t fi[kMaxClusterWidth][3] = {};
+  int64_t fi[kClusterWidth][3] = {};
   uint32_t run_ci = entries.empty() ? 0u : entries.front().ci;
   auto flush_fi = [&](uint32_t ci) {
     const size_t b = static_cast<size_t>(ci) * width;

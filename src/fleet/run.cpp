@@ -293,7 +293,7 @@ std::unique_ptr<Driver> materialize(
   config.thermostat = thermostat;
   config.init_temperature_k = spec.temperature_k;
   config.velocity_seed = spec.seed;
-  config.engine.execution = exec;
+  config.execution = exec;
   driver->install(std::make_unique<runtime::MachineSimulation>(
                       driver->field(),
                       machine::anton_with_torus(spec.nodes, spec.nodes,

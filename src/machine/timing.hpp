@@ -78,7 +78,7 @@ struct StepBreakdown {
   /// Reliability-protocol overhead charged by machine::ReliableTransport:
   /// retransmit timeouts/backoff, CRC nack round trips, reroutes around
   /// down-marked links, and node-hang stalls.  Zero on a healthy machine.
-  /// Filled in by the driver (MachineSimulation) after step_time().
+  /// Filled in by the machine force provider after step_time().
   double reliability = 0.0;
   /// Wall-clock seconds the SDC audit layer spent on this step (digests,
   /// scrubbing, shadow re-execution).  Informational like pair_masked: not

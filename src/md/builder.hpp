@@ -70,9 +70,6 @@ class SimulationBuilder {
   SimulationBuilder& nonbonded_kernel(ff::NonbondedKernel kernel) {
     config_.nonbonded_kernel = kernel; return *this;
   }
-  SimulationBuilder& cluster_width(uint32_t width) {
-    config_.cluster_width = width; return *this;
-  }
   /// Host threads for the parallel execution layer (1 = serial, 0 = auto).
   SimulationBuilder& threads(size_t n) {
     config_.execution.threads = n; return *this;

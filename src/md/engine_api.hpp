@@ -1,13 +1,9 @@
-// EngineApi: the step-driver contract every engine in the repo satisfies
-// (md::Simulation, runtime::MachineSimulation, and any future driver).
-//
-// The repo grew three step loops with structurally identical surfaces —
-// advance, observe, checkpoint — that generic layers (Supervisor, the
-// observer plumbing, example drivers) consumed by duck typing, silently
-// special-casing each engine.  This concept names the contract once:
-// generic code constrains on EngineApi and any drift in an engine's
-// surface becomes a compile error at the definition, not a template
-// instantiation stack three layers deep.
+// EngineApi: the step-driver contract generic layers (Supervisor, Auditor,
+// HealthGuard, example drivers) constrain on.  md::Simulation satisfies it,
+// and so does runtime::MachineSimulation, which is an md::Simulation with
+// the machine's force provider; any drift in the surface becomes a compile
+// error at the definition, not a template instantiation stack three layers
+// deep.
 #pragma once
 
 #include <concepts>
@@ -35,30 +31,5 @@ concept EngineApi =
       s.add_observer(std::move(obs), 1);
       s.set_timestep_fs(dt);
     };
-
-/// Shared post-step observer notification: builds the StepInfo — and pays
-/// its O(N) kinetic/temperature reductions — only when an observer is due.
-/// Engines call this from their step() epilogue instead of each keeping a
-/// private copy of the same loop.
-template <typename Sim>
-  requires requires(const Sim& cs) {
-    { cs.state() } -> std::convertible_to<const State&>;
-    { cs.potential_energy() } -> std::convertible_to<double>;
-    { cs.kinetic_energy() } -> std::convertible_to<double>;
-    { cs.temperature() } -> std::convertible_to<double>;
-  }
-void notify_step(const Sim& sim, const ObserverList& observers,
-                 const WallTimer& wall) {
-  const State& state = sim.state();
-  if (observers.empty() || !observers.due(state.step)) return;
-  StepInfo info;
-  info.step = state.step;
-  info.time = state.time;
-  info.potential = sim.potential_energy();
-  info.kinetic = sim.kinetic_energy();
-  info.temperature = sim.temperature();
-  info.wall_seconds = wall.seconds();
-  observers.notify(info);
-}
 
 }  // namespace antmd::md

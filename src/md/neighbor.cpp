@@ -53,15 +53,9 @@ std::array<int, 3> CellList::cell_of(uint32_t atom) const {
 }
 
 NeighborList::NeighborList(const Topology& topo, double cutoff, double skin,
-                           bool cluster_mode, uint32_t cluster_width)
-    : topo_(&topo),
-      cutoff_(cutoff),
-      skin_(skin),
-      cluster_mode_(cluster_mode),
-      cluster_width_(cluster_width) {
+                           bool cluster_mode)
+    : topo_(&topo), cutoff_(cutoff), skin_(skin), cluster_mode_(cluster_mode) {
   ANTMD_REQUIRE(cutoff > 0 && skin >= 0, "bad neighbor-list parameters");
-  ANTMD_REQUIRE(ff::cluster_width_supported(cluster_width),
-                "cluster width must be 4 or 8");
 }
 
 void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
@@ -172,7 +166,7 @@ void NeighborList::build_clusters(const CellList& cells,
                                   std::span<const Vec3> positions,
                                   const Box& box) {
   ff::ClusterPairList& cl = clusters_;
-  const uint32_t w = cluster_width_;
+  const uint32_t w = ff::kClusterWidth;
   const size_t atom_count = positions.size();
 
   // Fine-grid atom order: bin atoms on a grid sized so each cell holds

@@ -55,11 +55,8 @@ class NeighborList {
   /// cluster_mode additionally derives a blocked cluster-pair list from
   /// every rebuild (see ff::ClusterPairList); the flat pair vector is still
   /// produced and stays the source of truth for the pair set.
-  /// cluster_width picks the tile shape (4 or 8 atoms per cluster; see
-  /// ff::cluster_width_supported).
   NeighborList(const Topology& topo, double cutoff, double skin,
-               bool cluster_mode = false,
-               uint32_t cluster_width = ff::kDefaultClusterWidth);
+               bool cluster_mode = false);
 
   /// Rebuilds unconditionally.
   void build(std::span<const Vec3> positions, const Box& box);
@@ -71,7 +68,6 @@ class NeighborList {
     return pairs_;
   }
   [[nodiscard]] bool cluster_mode() const { return cluster_mode_; }
-  [[nodiscard]] uint32_t cluster_width() const { return cluster_width_; }
   /// Blocked tile view of pairs(); empty unless cluster_mode is on.
   [[nodiscard]] const ff::ClusterPairList& clusters() const {
     return clusters_;
@@ -97,7 +93,6 @@ class NeighborList {
   double cutoff_;
   double skin_;
   bool cluster_mode_ = false;
-  uint32_t cluster_width_ = ff::kDefaultClusterWidth;
   std::vector<ff::PairEntry> pairs_;
   ff::ClusterPairList clusters_;
   std::vector<Vec3> reference_positions_;

@@ -93,27 +93,239 @@ void SimulationConfig::validate() const {
     throw ConfigError("neighbor_skin must be >= 0, got " +
                             std::to_string(neighbor_skin));
   }
-  if (!ff::cluster_width_supported(cluster_width)) {
-    throw ConfigError("cluster_width must be 4 or 8, got " +
-                      std::to_string(cluster_width));
-  }
 }
+
+namespace {
+
+// The host's force provider: one evaluation is a task graph over the step's
+// force work, built once and rerun for every evaluation.  Dependency
+// structure encodes the data flow: bonded and k-space need only final
+// positions (virtual sites), the nonbonded kernel also needs the neighbor
+// list, so on rebuild steps bonded and k-space overlap the rebuild instead
+// of waiting behind it.  Every order-sensitive sum has a fixed place —
+// the pair kernel runs behind the bonded task, cluster chunks fold in
+// ascending order, and the k-space cache merge, virtual-site force spread
+// and fault poll live in the single reduction task — so the result is
+// bit-identical at any lane count.
+class StepGraphForces final : public ForceProvider {
+ public:
+  StepGraphForces(ForceField& ff, const SimulationConfig& config)
+      : ff_(&ff),
+        nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
+               config.nonbonded_kernel == ff::NonbondedKernel::kCluster),
+        exec_(ExecutionContext::create(config.execution)) {
+    nlist_.set_execution(exec_);
+    build_graph();
+  }
+
+  void init(State& state, const SimulationConfig& /*config*/) override {
+    ff::construct_virtual_sites(ff_->topology().virtual_sites(),
+                                state.positions, state.box);
+    nlist_.build(state.positions, state.box);
+  }
+
+  void rebuild(State& state) override {
+    nlist_.build(state.positions, state.box);
+  }
+
+  void compute(State& state, const ForceRequest& request, ForceResult& out,
+               ForceResult& kspace_cache) override {
+    out.reset(ff_->topology().atom_count());
+    call_ = Call{&state, request, &out, &kspace_cache};
+    graph_->run();
+    call_ = Call{};
+  }
+
+  [[nodiscard]] const NeighborList& neighbor_list() const override {
+    return nlist_;
+  }
+
+ private:
+  // Per-run parameters the task bodies read.
+  struct Call {
+    State* state = nullptr;
+    ForceRequest request;
+    ForceResult* out = nullptr;
+    ForceResult* kspace_cache = nullptr;
+  };
+
+  [[nodiscard]] bool with_bonded() const {
+    return call_.request.terms != ForceTerms::kNonbonded;
+  }
+  [[nodiscard]] bool with_nonbonded() const {
+    return call_.request.terms != ForceTerms::kBonded;
+  }
+
+  void build_graph();
+
+  ForceField* ff_;
+  NeighborList nlist_;
+  std::shared_ptr<ExecutionContext> exec_;
+  std::unique_ptr<util::TaskGraph> graph_;
+  util::ChunkPlan nb_plan_;  ///< tile chunk partition, refreshed per run
+  Call call_;
+};
+
+void StepGraphForces::build_graph() {
+  graph_ = std::make_unique<util::TaskGraph>(exec_->runtime(), "md.step");
+  util::TaskGraph& g = *graph_;
+  const bool have_vsites = !ff_->topology().virtual_sites().empty();
+  const bool cluster = nlist_.cluster_mode();
+
+  // The bonded-only pass integrates on the standing list.
+  const util::TaskId t_nlist = g.add("md.nlist", [this] {
+    if (with_nonbonded()) {
+      nlist_.update(call_.state->positions, call_.state->box);
+    }
+  });
+  // Tasks that read final positions: behind vsite construction when there
+  // are virtual sites (which must in turn see the neighbor list's view of
+  // the previous vsite positions), unblocked from the start otherwise.
+  std::vector<util::TaskId> after_pos;
+  util::TaskId t_list_ready = t_nlist;
+  if (have_vsites) {
+    const util::TaskId t_vsites = g.add(
+        "md.vsites",
+        [this] {
+          ff::construct_virtual_sites(ff_->topology().virtual_sites(),
+                                      call_.state->positions,
+                                      call_.state->box);
+        },
+        {t_nlist});
+    after_pos = {t_vsites};
+    t_list_ready = t_vsites;
+  }
+
+  const util::TaskId t_bonded = g.add(
+      "md.bonded",
+      [this] {
+        if (!with_bonded()) return;
+        obs::ScopedTimer timer(md_metrics().bonded_ns);
+        ff_->compute_bonded(call_.state->positions, call_.state->box,
+                            call_.state->time, *call_.out);
+      },
+      after_pos);
+
+  // Reciprocal space as its stage chain (stencil → spread → FFT → convolve
+  // → inverse FFT → interpolate → finish), fanned out beside the tiles.
+  // Systems without k-space get no stages at all.
+  std::vector<util::TaskId> reduce_deps = {t_bonded};
+  if (ff_->has_kspace()) {
+    reduce_deps.push_back(ff_->gse()->append_stages(
+        g,
+        [this]() -> std::optional<GseInput> {
+          if (!call_.request.kspace_due) return std::nullopt;
+          call_.kspace_cache->reset(ff_->topology().atom_count());
+          return GseInput{call_.state->positions, ff_->kspace_charges(),
+                          ff_->excluded_pairs(),  call_.state->box,
+                          call_.kspace_cache,     &md_metrics().kspace_ns};
+        },
+        after_pos));
+  }
+
+  if (cluster) {
+    const util::TaskId t_gather = g.add(
+        "md.nb.gather",
+        [this] {
+          if (!with_nonbonded()) {
+            nb_plan_ = {};
+            return;
+          }
+          obs::ScopedTimer timer(md_metrics().nonbonded_ns);
+          const ff::ClusterPairList& list = nlist_.clusters();
+          ff::gather_cluster_coords(list, call_.state->positions);
+          nb_plan_ = ff::cluster_chunk_plan(list);
+          ff::prepare_cluster_scratch(list, graph_->lanes(),
+                                      ff_->topology().atom_count(), nb_plan_);
+        },
+        {t_list_ready});
+    reduce_deps.push_back(g.add_parallel(
+        "md.nonbonded", [this] { return nb_plan_.chunks; },
+        [this](size_t chunk) {
+          obs::ScopedTimer timer(md_metrics().nonbonded_ns);
+          ff::compute_clusters_chunk(nlist_.clusters(), ff_->tables(),
+                                     call_.state->box, nb_plan_, chunk,
+                                     util::TaskRuntime::current_lane(),
+                                     ff_->vdw_scale(),
+                                     ff_->charge_product_scale());
+        },
+        {t_gather}));
+  } else {
+    // The flat pair kernel adds straight into the result, behind the
+    // bonded terms, so its virial sums in the same order as always.
+    reduce_deps.push_back(g.add(
+        "md.nonbonded",
+        [this] {
+          if (!with_nonbonded()) return;
+          obs::ScopedTimer timer(md_metrics().nonbonded_ns);
+          ff_->compute_nonbonded(nlist_.pairs(), call_.state->positions,
+                                 call_.state->box, *call_.out);
+        },
+        {t_bonded, t_list_ready}));
+  }
+
+  g.add_reduction(
+      "md.reduce",
+      [this, cluster] {
+        ForceResult& out = *call_.out;
+        const bool nonbonded = with_nonbonded();
+        if (cluster && nonbonded) {
+          ff::reduce_cluster_chunks(nlist_.clusters(), nb_plan_, out);
+        }
+        if (nonbonded) out.merge(*call_.kspace_cache);
+        ff::spread_virtual_site_forces(ff_->topology().virtual_sites(),
+                                       call_.state->positions,
+                                       call_.state->box, out.forces);
+        if (!nonbonded) return;
+        // Force-poison injection point, once per evaluation except the
+        // bonded-only pass, deliberately inside the graph: the reduction
+        // runs on whichever lane picks it up, so a kNanForce plan fires
+        // from a worker thread — the fault registry's thread-safety
+        // contract.
+        uint64_t poison_atom = 0;
+        if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
+          out.forces.set_quanta(
+              poison_atom % ff_->topology().atom_count(),
+              {fault::kPoisonQuanta, fault::kPoisonQuanta,
+               fault::kPoisonQuanta});
+        }
+        if (obs::enabled()) {
+          md_metrics().nonbonded_kernel.set(cluster ? 1.0 : 0.0);
+          if (cluster) {
+            md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
+            md_metrics().nonbonded_isa.set(
+                static_cast<double>(ff::active_kernel_isa()));
+          }
+        }
+      },
+      reduce_deps);
+}
+
+std::unique_ptr<ForceProvider> step_graph_forces(ForceField& ff,
+                                                 const SimulationConfig& c) {
+  c.validate();  // before the neighbor list sees the skin
+  return std::make_unique<StepGraphForces>(ff, c);
+}
+
+}  // namespace
 
 Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
                        SimulationConfig config)
-    // validate() before any member uses config fields (neighbor list, dt).
+    : Simulation(ff, std::move(positions), box, config,
+                 step_graph_forces(ff, config)) {}
+
+Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
+                       SimulationConfig config,
+                       std::unique_ptr<ForceProvider> provider)
+    // validate() before any member uses config fields (dt, constraints).
     : ff_((config.validate(), &ff)),
       config_(config),
       dt_(units::fs_to_internal(config.dt_fs)),
-      nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
-             config.nonbonded_kernel == ff::NonbondedKernel::kCluster,
-             config.cluster_width),
-      constraints_(ff.topology(), 1e-8, 500,
-                   config.constraint_algorithm),
+      constraints_(ff.topology(), 1e-8, 500, config.constraint_algorithm),
       thermostat_(ff.topology(), config.thermostat),
       current_(positions.size()),
       kspace_cache_(positions.size()),
-      exec_(ExecutionContext::create(config.execution)) {
+      provider_(std::move(provider)) {
   const Topology& topo = ff.topology();
   ANTMD_REQUIRE(positions.size() == topo.atom_count(),
                 "positions/topology size mismatch");
@@ -134,412 +346,129 @@ Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
                                                     state_.time);
                       });
   }
-
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
-  nlist_.set_execution(exec_);
-  nlist_.build(state_.positions, state_.box);
-  if (nlist_.cluster_mode()) build_step_graph();
-  compute_forces(/*kspace_due=*/true);
+  provider_->init(state_, config_);
+  compute(ForceTerms::kAll, /*kspace_due=*/true, current_);
 }
 
-void Simulation::build_step_graph() {
-  // The step's force work as a DAG.  Dependency structure encodes the data
-  // flow: bonded and kspace only need final positions (virtual sites), the
-  // tile kernel also needs the neighbor list; so on rebuild steps bonded and
-  // kspace overlap the rebuild instead of waiting behind it.  All
-  // order-sensitive arithmetic — ascending-chunk virial merge, kspace cache
-  // fold, virtual-site force spread — lives in the single reduction task,
-  // which is why the result is bit-identical at any lane count *and* to the
-  // sequential compute_forces() path used by recompute callers.
-  step_graph_ = std::make_unique<util::TaskGraph>(exec_->runtime(), "md.step");
-  util::TaskGraph& g = *step_graph_;
-  const bool have_vsites = !ff_->topology().virtual_sites().empty();
-
-  const util::TaskId t_nlist = g.add("md.nlist", [this] {
-    nlist_.update(state_.positions, state_.box);
-  });
-  // Tasks that read final positions: behind vsite construction when there
-  // are virtual sites (which must in turn see the neighbor list's view of
-  // the previous vsite positions, as the sequential path does), unblocked
-  // from the start otherwise.
-  std::vector<util::TaskId> after_pos;
-  util::TaskId t_list_ready = t_nlist;
-  if (have_vsites) {
-    const util::TaskId t_vsites = g.add(
-        "md.vsites",
-        [this] {
-          ff::construct_virtual_sites(ff_->topology().virtual_sites(),
-                                      state_.positions, state_.box);
-        },
-        {t_nlist});
-    after_pos = {t_vsites};
-    t_list_ready = t_vsites;
-  }
-
-  const util::TaskId t_bonded = g.add(
-      "md.bonded",
-      [this] {
-        if (!graph_include_bonded_) return;
-        obs::ScopedTimer timer(md_metrics().bonded_ns);
-        ff_->compute_bonded(state_.positions, state_.box, state_.time,
-                            *graph_sink_);
-      },
-      after_pos);
-
-  // Reciprocal space as its stage chain (stencil → spread → FFT → convolve
-  // → inverse FFT → interpolate → finish), fanned out beside the tiles.
-  // Systems without k-space get no stages at all.
-  std::vector<util::TaskId> reduce_deps = {t_bonded};
-  if (ff_->has_kspace()) {
-    reduce_deps.push_back(ff_->gse()->append_stages(
-        g,
-        [this]() -> std::optional<GseInput> {
-          if (!graph_kspace_due_) return std::nullopt;
-          kspace_cache_.reset(ff_->topology().atom_count());
-          return GseInput{state_.positions,     ff_->kspace_charges(),
-                          ff_->excluded_pairs(), state_.box,
-                          &kspace_cache_,        &md_metrics().kspace_ns};
-        },
-        after_pos));
-  }
-
-  const util::TaskId t_gather = g.add(
-      "md.nb.gather",
-      [this] {
-        obs::ScopedTimer timer(md_metrics().nonbonded_ns);
-        const ff::ClusterPairList& list = nlist_.clusters();
-        ff::gather_cluster_coords(list, state_.positions);
-        nb_plan_ = ff::cluster_chunk_plan(list);
-        ff::prepare_cluster_scratch(list, step_graph_->lanes(),
-                                    ff_->topology().atom_count(), nb_plan_);
-      },
-      {t_list_ready});
-
-  reduce_deps.push_back(g.add_parallel(
-      "md.nonbonded", [this] { return nb_plan_.chunks; },
-      [this](size_t chunk) {
-        obs::ScopedTimer timer(md_metrics().nonbonded_ns);
-        ff::compute_clusters_chunk(nlist_.clusters(), ff_->tables(),
-                                   state_.box, nb_plan_, chunk,
-                                   util::TaskRuntime::current_lane(),
-                                   ff_->vdw_scale(),
-                                   ff_->charge_product_scale());
-      },
-      {t_gather}));
-
-  g.add_reduction(
-      "md.reduce",
-      [this] {
-        ff::reduce_cluster_chunks(nlist_.clusters(), nb_plan_, *graph_sink_);
-        graph_sink_->merge(kspace_cache_);
-        ff::spread_virtual_site_forces(ff_->topology().virtual_sites(),
-                                       state_.positions, state_.box,
-                                       graph_sink_->forces);
-        // Force-poison injection point, deliberately inside the graph: the
-        // reduction runs on whichever lane picks it up, so a kNanForce plan
-        // fires from a worker thread — the fault registry's thread-safety
-        // contract — while the one-poll-per-evaluation cadence matches the
-        // sequential compute_forces() path exactly.
-        uint64_t poison_atom = 0;
-        if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-          const size_t n = ff_->topology().atom_count();
-          graph_sink_->forces.set_quanta(
-              poison_atom % n, {fault::kPoisonQuanta, fault::kPoisonQuanta,
-                                fault::kPoisonQuanta});
-        }
-        if (obs::enabled()) {
-          md_metrics().nonbonded_kernel.set(1.0);
-          md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
-        }
-      },
-      reduce_deps);
+void Simulation::compute(ForceTerms terms, bool kspace_due, ForceResult& out,
+                         bool restore) {
+  provider_->compute(state_, ForceRequest{terms, kspace_due, restore}, out,
+                     kspace_cache_);
 }
 
-void Simulation::run_force_graph(ForceResult& sink, bool include_bonded,
-                                 bool kspace_due) {
-  const size_t n = ff_->topology().atom_count();
-  graph_sink_ = &sink;
-  graph_include_bonded_ = include_bonded;
-  graph_kspace_due_ = kspace_due;
-  sink.reset(n);
-  step_graph_->run();
+void Simulation::notify_observers() {
+  // Build the StepInfo — and pay its O(N) reductions — only when an
+  // observer is due.
+  if (observers_.empty() || !observers_.due(state_.step)) return;
+  StepInfo info;
+  info.step = state_.step;
+  info.time = state_.time;
+  info.potential = potential_energy();
+  info.kinetic = kinetic_energy();
+  info.temperature = temperature();
+  info.wall_seconds = wall_.seconds();
+  observers_.notify(info);
 }
 
-void Simulation::notify_observers() { notify_step(*this, observers_, wall_); }
-
-void Simulation::compute_nonbonded_into(ForceResult& out) {
-  if (nlist_.cluster_mode()) {
-    ff_->compute_nonbonded_clusters(nlist_.clusters(), state_.positions,
-                                    state_.box, out, exec_.get());
-  } else {
-    ff_->compute_nonbonded(nlist_.pairs(), state_.positions, state_.box, out);
-  }
-  if (obs::enabled()) {
-    md_metrics().nonbonded_kernel.set(nlist_.cluster_mode() ? 1.0 : 0.0);
-    if (nlist_.cluster_mode()) {
-      md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
-      md_metrics().nonbonded_isa.set(
-          static_cast<double>(ff::active_kernel_isa()));
-    }
+void Simulation::half_kick(const ForceResult& f, double dt) {
+  obs::ScopedTimer timer(md_metrics().integrate_ns);
+  const auto& masses = ff_->topology().masses();
+  for (size_t i = 0; i < masses.size(); ++i) {
+    if (masses[i] == 0.0) continue;
+    state_.velocities[i] += (dt / (2.0 * masses[i])) * f.forces.force(i);
   }
 }
 
-void Simulation::compute_forces(bool kspace_due) {
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
-  current_.reset(n);
-  {
-    obs::TracePhase phase("md.bonded", "md", &md_metrics().bonded_ns);
-    ff_->compute_bonded(state_.positions, state_.box, state_.time, current_);
-  }
-  {
-    obs::TracePhase phase("md.nonbonded", "md", &md_metrics().nonbonded_ns);
-    compute_nonbonded_into(current_);
-  }
-  if (kspace_due && ff_->has_kspace()) {
-    obs::TracePhase phase("md.kspace", "md", &md_metrics().kspace_ns);
-    kspace_cache_.reset(n);
-    ff_->compute_kspace(state_.positions, state_.box, kspace_cache_);
-  }
-  current_.merge(kspace_cache_);
-  ff::spread_virtual_site_forces(topo.virtual_sites(), state_.positions,
-                                 state_.box, current_.forces);
-
-  uint64_t poison_atom = 0;
-  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-    current_.forces.set_quanta(
-        poison_atom % n,
-        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
-  }
-}
-
-void Simulation::compute_fast_forces() {
-  const Topology& topo = ff_->topology();
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
-  fast_.reset(topo.atom_count());
-  {
-    obs::TracePhase phase("md.bonded", "md", &md_metrics().bonded_ns);
-    ff_->compute_bonded(state_.positions, state_.box, state_.time, fast_);
-  }
-  ff::spread_virtual_site_forces(topo.virtual_sites(), state_.positions,
-                                 state_.box, fast_.forces);
-}
-
-void Simulation::compute_slow_forces(bool kspace_due) {
-  const Topology& topo = ff_->topology();
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
-  slow_.reset(topo.atom_count());
-  {
-    obs::TracePhase phase("md.nonbonded", "md", &md_metrics().nonbonded_ns);
-    compute_nonbonded_into(slow_);
-  }
-  if (kspace_due && ff_->has_kspace()) {
-    obs::TracePhase phase("md.kspace", "md", &md_metrics().kspace_ns);
-    kspace_cache_.reset(topo.atom_count());
-    ff_->compute_kspace(state_.positions, state_.box, kspace_cache_);
-  }
-  slow_.merge(kspace_cache_);
-  ff::spread_virtual_site_forces(topo.virtual_sites(), state_.positions,
-                                 state_.box, slow_.forces);
-
-  uint64_t poison_atom = 0;
-  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-    slow_.forces.set_quanta(
-        poison_atom % topo.atom_count(),
-        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
-  }
-}
-
-void Simulation::step_respa() {
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-  const auto& masses = topo.masses();
-  const int n_inner = config_.respa_inner;
-  const double dtf = dt_ / static_cast<double>(n_inner);
-
-  // Slow and fast forces at the current positions (slow_ is maintained
-  // across steps; fast_ is refreshed by the inner loop's last iteration).
-  // Outer half kick with the slow forces.
+void Simulation::drift_and_constrain(double dt) {
   {
     obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] +=
-          (dt_ / (2.0 * masses[i])) * slow_.forces.force(i);
-    }
-  }
-
-  // Inner velocity-Verlet loop with the fast (bonded) forces.
-  for (int k = 0; k < n_inner; ++k) {
-    {
-      obs::ScopedTimer timer(md_metrics().integrate_ns);
-      for (size_t i = 0; i < n; ++i) {
-        if (masses[i] == 0.0) continue;
-        state_.velocities[i] +=
-            (dtf / (2.0 * masses[i])) * fast_.forces.force(i);
-      }
-      scratch_before_ = state_.positions;
-      for (size_t i = 0; i < n; ++i) {
-        if (masses[i] == 0.0) continue;
-        state_.positions[i] += dtf * state_.velocities[i];
-      }
-    }
-    if (!constraints_.empty()) {
-      obs::TracePhase phase("md.constraints", "md",
-                            &md_metrics().constraints_ns);
-      constraints_.apply_positions(scratch_before_, state_.positions,
-                                   state_.velocities, dtf, state_.box);
-    }
-    compute_fast_forces();
-    {
-      obs::ScopedTimer timer(md_metrics().integrate_ns);
-      for (size_t i = 0; i < n; ++i) {
-        if (masses[i] == 0.0) continue;
-        state_.velocities[i] +=
-            (dtf / (2.0 * masses[i])) * fast_.forces.force(i);
-      }
-    }
-    if (!constraints_.empty()) {
-      obs::TracePhase phase("md.constraints", "md",
-                            &md_metrics().constraints_ns);
-      constraints_.apply_velocities(state_.positions, state_.velocities,
-                                    state_.box);
-    }
-  }
-
-  // Slow forces at the new positions; outer half kick.
-  const bool kspace_due =
-      (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  if (step_graph_) {
-    run_force_graph(slow_, /*include_bonded=*/false, kspace_due);
-  } else {
-    nlist_.update(state_.positions, state_.box);
-    compute_slow_forces(kspace_due);
-  }
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] +=
-          (dt_ / (2.0 * masses[i])) * slow_.forces.force(i);
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("md.constraints", "md",
-                          &md_metrics().constraints_ns);
-    constraints_.apply_velocities(state_.positions, state_.velocities,
-                                  state_.box);
-  }
-
-  // Combined result for observers.
-  current_.reset(n);
-  current_.merge(fast_);
-  current_.merge(slow_);
-
-  state_.step += 1;
-  state_.time += dt_;
-  thermostat_.apply(state_, dt_);
-  if (config_.com_removal_interval > 0 &&
-      state_.step % static_cast<uint64_t>(config_.com_removal_interval) ==
-          0) {
-    remove_com_momentum(topo, state_);
-  }
-  notify_observers();
-}
-
-void Simulation::step() {
-  const double step_start_us = obs::enabled() ? obs::now_us() : 0.0;
-  if (config_.respa_inner > 1) {
-    // Lazily seed the split caches on first use.
-    if (fast_.forces.size() != ff_->topology().atom_count()) {
-      compute_fast_forces();
-      compute_slow_forces(true);
-    }
-    step_respa();
-    md_metrics().steps.add();
-    if (obs::enabled()) {
-      md_metrics().step_us.observe(obs::now_us() - step_start_us);
-    }
-    return;
-  }
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-  const auto& masses = topo.masses();
-
-  // Half kick + drift.
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      double m = masses[i];
-      if (m == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * m)) * current_.forces.force(i);
-    }
+    const auto& masses = ff_->topology().masses();
     scratch_before_ = state_.positions;
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < masses.size(); ++i) {
       if (masses[i] == 0.0) continue;
-      state_.positions[i] += dt_ * state_.velocities[i];
+      state_.positions[i] += dt * state_.velocities[i];
     }
   }
-
   // Constrain positions (and fold the impulse into velocities).
   if (!constraints_.empty()) {
     obs::TracePhase phase("md.constraints", "md",
                           &md_metrics().constraints_ns);
     constraints_.apply_positions(scratch_before_, state_.positions,
-                                 state_.velocities, dt_, state_.box);
+                                 state_.velocities, dt, state_.box);
   }
+}
 
-  // Neighbor list & forces at the new positions.  Cluster mode runs the
-  // phase-overlapped step graph (bit-identical to the sequential path); the
-  // reference pair kernel keeps the sequential orchestration.
+void Simulation::constrain_velocities() {
+  if (constraints_.empty()) return;
+  obs::TracePhase phase("md.constraints", "md", &md_metrics().constraints_ns);
+  constraints_.apply_velocities(state_.positions, state_.velocities,
+                                state_.box);
+}
+
+void Simulation::advance_verlet(bool kspace_due) {
+  half_kick(current_, dt_);
+  drift_and_constrain(dt_);
+  compute(ForceTerms::kAll, kspace_due, current_);
+  half_kick(current_, dt_);
+  constrain_velocities();
+}
+
+void Simulation::advance_respa(bool kspace_due) {
+  // Slow forces (nonbonded + k-space) are kept across steps; fast (bonded)
+  // forces are refreshed by the inner loop's last iteration.  The first
+  // step seeds both.
+  if (fast_.forces.size() != ff_->topology().atom_count()) {
+    compute(ForceTerms::kBonded, /*kspace_due=*/false, fast_);
+    compute(ForceTerms::kNonbonded, /*kspace_due=*/true, slow_);
+  }
+  const double dtf = dt_ / static_cast<double>(config_.respa_inner);
+
+  // Outer half kick with the slow forces, an inner velocity-Verlet loop
+  // with the fast ones, slow forces at the new positions, outer half kick.
+  half_kick(slow_, dt_);
+  for (int k = 0; k < config_.respa_inner; ++k) {
+    half_kick(fast_, dtf);
+    drift_and_constrain(dtf);
+    compute(ForceTerms::kBonded, /*kspace_due=*/false, fast_);
+    half_kick(fast_, dtf);
+    constrain_velocities();
+  }
+  compute(ForceTerms::kNonbonded, kspace_due, slow_);
+  half_kick(slow_, dt_);
+  constrain_velocities();
+
+  // Combined result for observers.
+  current_.reset(ff_->topology().atom_count());
+  current_.merge(fast_);
+  current_.merge(slow_);
+}
+
+void Simulation::step() {
+  const double step_start_us = obs::enabled() ? obs::now_us() : 0.0;
   const bool kspace_due =
       (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  if (step_graph_) {
-    run_force_graph(current_, /*include_bonded=*/true, kspace_due);
+  const bool respa = config_.respa_inner > 1;
+  if (respa) {
+    advance_respa(kspace_due);
   } else {
-    nlist_.update(state_.positions, state_.box);
-    compute_forces(kspace_due);
-  }
-
-  // Second half kick.
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      double m = masses[i];
-      if (m == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * m)) * current_.forces.force(i);
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("md.constraints", "md",
-                          &md_metrics().constraints_ns);
-    constraints_.apply_velocities(state_.positions, state_.velocities,
-                                  state_.box);
+    advance_verlet(kspace_due);
   }
 
   state_.step += 1;
   state_.time += dt_;
-
   thermostat_.apply(state_, dt_);
 
-  if (barostat_) {
-    if (barostat_->maybe_apply_tensor(state_, current_.virial)) {
-      ff_->on_box_changed(state_.box);
-      nlist_.build(state_.positions, state_.box);
-      compute_forces(/*kspace_due=*/true);
-    }
+  // The barostat reads the virial of one full evaluation, so it acts on
+  // Verlet steps only; RESPA runs have never applied it.
+  if (barostat_ && !respa &&
+      barostat_->maybe_apply_tensor(state_, current_.virial)) {
+    refresh_forces(/*restoring=*/false);
   }
 
   if (config_.com_removal_interval > 0 &&
       state_.step % static_cast<uint64_t>(config_.com_removal_interval) ==
           0) {
-    remove_com_momentum(topo, state_);
+    remove_com_momentum(ff_->topology(), state_);
   }
   md_metrics().steps.add();
   if (obs::enabled()) {
@@ -565,10 +494,29 @@ void Simulation::rescale_velocities(double factor) {
   for (auto& v : state_.velocities) v *= factor;
 }
 
-void Simulation::invalidate_forces() {
+void Simulation::invalidate_forces() { refresh_forces(/*restoring=*/false); }
+
+void Simulation::refresh_forces(bool restoring) {
   ff_->on_box_changed(state_.box);
-  nlist_.build(state_.positions, state_.box);
-  compute_forces(/*kspace_due=*/true);
+  provider_->rebuild(state_);
+  if (!restoring) {
+    compute(ForceTerms::kAll, /*kspace_due=*/true, current_);
+    return;
+  }
+  // Forces are recomputed rather than stored: the nonbonded kernels zero
+  // beyond-cutoff pairs, so a freshly built neighbor list gives
+  // bit-identical sums, and the k-space term comes from the restored cache.
+  if (config_.respa_inner > 1) {
+    // Re-seed the RESPA split caches exactly as they stood after the last
+    // completed outer step.
+    compute(ForceTerms::kBonded, false, fast_, /*restore=*/true);
+    compute(ForceTerms::kNonbonded, false, slow_, /*restore=*/true);
+    current_.reset(ff_->topology().atom_count());
+    current_.merge(fast_);
+    current_.merge(slow_);
+  } else {
+    compute(ForceTerms::kAll, false, current_, /*restore=*/true);
+  }
 }
 
 void Simulation::set_timestep_fs(double dt_fs) {
@@ -580,16 +528,19 @@ void Simulation::set_timestep_fs(double dt_fs) {
   dt_ = units::fs_to_internal(dt_fs);
 }
 
-void Simulation::save_checkpoint(util::BinaryWriter& out) const {
+void Simulation::write_physics(util::BinaryWriter& out,
+                               bool barostat_block) const {
   write_state(out, state_);
   out.write_f64(dt_);
   thermostat_.save_state(out);
-  out.write_bool(barostat_.has_value());
-  if (barostat_) barostat_->save_state(out);
+  if (barostat_block) {
+    out.write_bool(barostat_.has_value());
+    if (barostat_) barostat_->save_state(out);
+  }
   write_force_result(out, kspace_cache_);
 }
 
-void Simulation::restore_checkpoint(util::BinaryReader& in) {
+void Simulation::read_physics(util::BinaryReader& in, bool barostat_block) {
   const Topology& topo = ff_->topology();
   State restored = read_state(in);
   if (restored.positions.size() != topo.atom_count()) {
@@ -600,11 +551,13 @@ void Simulation::restore_checkpoint(util::BinaryReader& in) {
   }
   double dt = in.read_f64();
   thermostat_.restore_state(in);
-  bool has_barostat = in.read_bool();
-  if (has_barostat != barostat_.has_value()) {
-    throw IoError("checkpoint barostat state does not match config");
+  if (barostat_block) {
+    bool has_barostat = in.read_bool();
+    if (has_barostat != barostat_.has_value()) {
+      throw IoError("checkpoint barostat state does not match config");
+    }
+    if (barostat_) barostat_->restore_state(in);
   }
-  if (barostat_) barostat_->restore_state(in);
   read_force_result(in, kspace_cache_);
   if (kspace_cache_.forces.size() != topo.atom_count()) {
     throw IoError("checkpoint k-space cache has wrong atom count");
@@ -613,24 +566,15 @@ void Simulation::restore_checkpoint(util::BinaryReader& in) {
   state_ = std::move(restored);
   dt_ = dt;
   config_.dt_fs = units::internal_to_fs(dt);
+}
 
-  // Rebuild everything derived from positions/box.  Forces are recomputed
-  // rather than stored: the nonbonded kernel zeroes beyond-cutoff pairs, so
-  // a freshly built neighbor list gives bit-identical sums, and the k-space
-  // term comes from the restored cache (kspace_due=false).
-  ff_->on_box_changed(state_.box);
-  nlist_.build(state_.positions, state_.box);
-  if (config_.respa_inner > 1) {
-    // Re-seed the RESPA split caches exactly as they stood after the last
-    // completed outer step.
-    compute_fast_forces();
-    compute_slow_forces(/*kspace_due=*/false);
-    current_.reset(topo.atom_count());
-    current_.merge(fast_);
-    current_.merge(slow_);
-  } else {
-    compute_forces(/*kspace_due=*/false);
-  }
+void Simulation::save_checkpoint(util::BinaryWriter& out) const {
+  write_physics(out, /*barostat_block=*/true);
+}
+
+void Simulation::restore_checkpoint(util::BinaryReader& in) {
+  read_physics(in, /*barostat_block=*/true);
+  refresh_forces(/*restoring=*/true);
 }
 
 }  // namespace antmd::md

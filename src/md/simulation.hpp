@@ -1,10 +1,12 @@
-// Single-host MD driver: velocity Verlet with RESPA-style k-space reuse,
-// constraints, thermostats, barostats and virtual sites.
+// md::Simulation: the one integrator.  Velocity Verlet or impulse RESPA
+// with RESPA-style k-space reuse, constraints, thermostats, barostats, COM
+// removal, step observers and the physics part of the checkpoint.
 //
-// This is the *functional* engine.  The machine-mapped runtime
-// (runtime::DistributedEngine) evaluates the same kernels partitioned across
-// modeled nodes and must produce bit-identical trajectories; md::Simulation
-// is both the reference implementation and the workhorse for the sampling
+// Forces come through a ForceProvider (md/force_provider.hpp).  The
+// default provider is the host's per-step task graph; the modeled machine
+// (runtime::MachineSimulation) drives this same integrator with a provider
+// that partitions the work across nodes and must produce bit-identical
+// trajectories.  md::Simulation is also the workhorse for the sampling
 // methods in sampling/.
 #pragma once
 
@@ -15,7 +17,7 @@
 #include "ff/forcefield.hpp"
 #include "md/barostat.hpp"
 #include "md/constraints.hpp"
-#include "md/neighbor.hpp"
+#include "md/force_provider.hpp"
 #include "md/observer.hpp"
 #include "md/state.hpp"
 #include "md/thermostat.hpp"
@@ -45,10 +47,8 @@ struct SimulationConfig {
   /// tiles.  Bit-identical results either way (the golden and equivalence
   /// tests enforce it); cluster is the fast default.
   ff::NonbondedKernel nonbonded_kernel = ff::NonbondedKernel::kCluster;
-  /// Atoms per cluster for the tiled kernel: 4 or 8 (8 feeds 8-wide SIMD).
-  uint32_t cluster_width = ff::kDefaultClusterWidth;
-  /// Host parallelism (neighbor-list rebuilds here; force partitions in the
-  /// machine runtime).  Defaults to fully serial.
+  /// Host parallelism (the step graph and neighbor-list rebuilds; force
+  /// partitions on the machine).  Defaults to fully serial.
   ExecutionConfig execution;
 
   /// Throws ConfigError if any field is out of range (dt_fs > 0,
@@ -69,11 +69,19 @@ struct SimulationConfig {
 class Simulation : public util::Checkpointable {
  public:
   /// The force field (and the topology it references) must outlive the
-  /// simulation. Initial positions/box come from the caller.
+  /// simulation. Initial positions/box come from the caller.  Forces come
+  /// from the host step graph.
   /// Prefer SimulationBuilder (md/builder.hpp) in new code; this
   /// constructor remains as the builder's target.
   Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
              SimulationConfig config);
+  /// Same, with forces from `provider` (the modeled machine).
+  Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
+             SimulationConfig config, std::unique_ptr<ForceProvider> provider);
+  // The barostat's energy callback and the provider hold pointers into
+  // this object.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
   /// Advances one outer timestep.
   void step();
@@ -82,6 +90,9 @@ class Simulation : public util::Checkpointable {
 
   // --- observation -----------------------------------------------------------
   [[nodiscard]] const State& state() const { return state_; }
+  /// Direct access for external state surgery (replica exchange, SDC
+  /// bit-flip injection in tests); follow with invalidate_forces() or rely
+  /// on the next step's evaluation to pick the change up.
   [[nodiscard]] State& mutable_state() { return state_; }
   [[nodiscard]] const ForceResult& forces() const { return current_; }
   [[nodiscard]] double potential_energy() const {
@@ -96,7 +107,9 @@ class Simulation : public util::Checkpointable {
   /// Potential + kinetic + thermostat reservoir (drift diagnostic).
   [[nodiscard]] double conserved_quantity() const;
   [[nodiscard]] double pressure_atm() const;
-  [[nodiscard]] const NeighborList& neighbor_list() const { return nlist_; }
+  [[nodiscard]] const NeighborList& neighbor_list() const {
+    return provider_->neighbor_list();
+  }
   [[nodiscard]] ForceField& force_field() { return *ff_; }
   [[nodiscard]] const ForceField& force_field() const { return *ff_; }
   [[nodiscard]] Thermostat& thermostat() { return thermostat_; }
@@ -117,10 +130,16 @@ class Simulation : public util::Checkpointable {
   /// and therefore cannot be recomputed at restore time).
   void save_checkpoint(util::BinaryWriter& out) const override;
   /// Restores into a simulation constructed with the same topology, force
-  /// field and config.  Rebuilds the neighbor list and recomputes forces at
-  /// the restored positions; throws IoError on a size or barostat
-  /// mismatch with the checkpoint.
+  /// field and config.  Rebuilds what the provider derives from positions
+  /// and recomputes forces at the restored positions; throws IoError on a
+  /// size or barostat mismatch with the checkpoint.
   void restore_checkpoint(util::BinaryReader& in) override;
+  /// The determinism-contract part of the checkpoint, which the SDC
+  /// auditor digests: everything that can influence future trajectory
+  /// bits.  On the host that is the whole checkpoint.
+  virtual void save_physics_checkpoint(util::BinaryWriter& out) const {
+    write_physics(out, /*barostat_block=*/true);
+  }
 
   /// Reseeds stochastic elements (used by replica-exchange drivers).
   void rescale_velocities(double factor);
@@ -143,30 +162,34 @@ class Simulation : public util::Checkpointable {
     observers_.set_enabled(enabled);
   }
 
-  [[nodiscard]] const ExecutionConfig& execution() const {
-    return config_.execution;
-  }
+ protected:
+  [[nodiscard]] ForceProvider& provider() { return *provider_; }
+  /// The physics part of the checkpoint: state, timestep, thermostat, the
+  /// barostat block (a presence flag plus its state) when `barostat_block`,
+  /// and the k-space cache.  The machine's layout has no barostat block.
+  void write_physics(util::BinaryWriter& out, bool barostat_block) const;
+  /// Inverse of write_physics; follow with refresh_forces(true).
+  void read_physics(util::BinaryReader& in, bool barostat_block);
+  /// Rebuilds what the provider derives from positions and recomputes the
+  /// forces: a full evaluation with k-space, or, when `restoring`, the
+  /// forces (RESPA split caches included) of a just-read checkpoint with
+  /// its cached k-space term.
+  void refresh_forces(bool restoring);
 
  private:
-  void compute_forces(bool kspace_due);
-  void compute_nonbonded_into(ForceResult& out);
-  void step_respa();
-  void compute_fast_forces();
-  void compute_slow_forces(bool kspace_due);
+  void compute(ForceTerms terms, bool kspace_due, ForceResult& out,
+               bool restore = false);
+  void advance_verlet(bool kspace_due);
+  void advance_respa(bool kspace_due);
+  void half_kick(const ForceResult& f, double dt);
+  void drift_and_constrain(double dt);
+  void constrain_velocities();
   void notify_observers();
-  /// Wires the per-step force DAG (cluster kernel only): neighbor update →
-  /// vsites → {bonded ∥ nonbonded tiles ∥ kspace} → fixed-order reduce.
-  void build_step_graph();
-  /// Runs the step graph into `sink` (current_ for Verlet, slow_ for the
-  /// RESPA outer kick, which excludes bonded).
-  void run_force_graph(ForceResult& sink, bool include_bonded,
-                       bool kspace_due);
 
   ForceField* ff_;
   SimulationConfig config_;
   State state_;
   double dt_;
-  NeighborList nlist_;
   ConstraintSolver constraints_;
   Thermostat thermostat_;
   std::optional<Barostat> barostat_;
@@ -175,14 +198,7 @@ class Simulation : public util::Checkpointable {
   ForceResult fast_;           ///< bonded forces (RESPA inner loop)
   ForceResult slow_;           ///< nonbonded + k-space (RESPA outer kicks)
   std::vector<Vec3> scratch_before_;
-  std::shared_ptr<ExecutionContext> exec_;
-  // Per-step force DAG (null in pair-kernel mode).  The graph is built once
-  // and rerun every step; these flags parameterize one run.
-  std::unique_ptr<util::TaskGraph> step_graph_;
-  util::ChunkPlan nb_plan_;  ///< tile chunk partition, refreshed per run
-  ForceResult* graph_sink_ = nullptr;
-  bool graph_include_bonded_ = true;
-  bool graph_kspace_due_ = false;
+  std::unique_ptr<ForceProvider> provider_;
   ObserverList observers_;
   WallTimer wall_;
 };

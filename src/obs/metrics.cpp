@@ -306,21 +306,19 @@ std::vector<PhaseShare> phase_breakdown(const MetricsSnapshot& snapshot) {
 }
 
 void register_standard_metrics(MetricsRegistry& registry) {
-  // md: the functional engine's phases and cadence.
+  // md: the integrator's phases and cadence (both engines).
   for (const char* name :
        {"md.bonded.time_ns", "md.nonbonded.time_ns", "md.kspace.time_ns",
         "md.constraints.time_ns", "md.integrate.time_ns",
         "md.neighbor.time_ns", "md.step.count", "md.neighbor.rebuild.count"}) {
     registry.counter(name);
   }
-  // runtime: the machine-mapped engine.
+  // runtime: the machine's force evaluation.
   for (const char* name :
        {"runtime.evaluate.time_ns", "runtime.node_eval.time_ns",
         "runtime.node_eval.count",
         "runtime.redistribute.time_ns", "runtime.redistribute.count",
-        "runtime.remap.count", "runtime.step.count",
-        "runtime.constraints.time_ns", "runtime.integrate.time_ns",
-        "runtime.kspace.time_ns"}) {
+        "runtime.remap.count", "runtime.kspace.time_ns"}) {
     registry.counter(name);
   }
   registry.gauge("runtime.alive_nodes");

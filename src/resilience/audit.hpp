@@ -85,11 +85,12 @@ struct StateDigest {
   uint64_t box_clock = 0;  ///< box edges + simulation time + step counter
   uint64_t forces = 0;     ///< fixed-point force accumulator quanta
   uint64_t energies = 0;   ///< per-term energy accumulator quanta
-  uint64_t driver = 0;     ///< determinism-contract checkpoint prefix:
-                           ///< thermostat RNG, timestep, k-space cache
-                           ///< (performance accounting is telemetry and
-                           ///< excluded — replay cadence legitimately
-                           ///< shifts it without moving the trajectory)
+  uint64_t driver = 0;     ///< save_physics_checkpoint(): thermostat
+                           ///< and barostat state, timestep, k-space cache
+                           ///< (the machine's performance accounting is
+                           ///< telemetry and excluded — replay cadence
+                           ///< legitimately shifts it without moving the
+                           ///< trajectory)
 
   friend bool operator==(const StateDigest&, const StateDigest&) = default;
 
@@ -210,11 +211,7 @@ template <typename Sim>
   d.energies = util::crc64(raws, sizeof(raws));
 
   util::BinaryWriter w;
-  if constexpr (requires { sim.save_physics_checkpoint(w); }) {
-    sim.save_physics_checkpoint(w);
-  } else {
-    sim.save_checkpoint(w);
-  }
+  sim.save_physics_checkpoint(w);
   d.driver = util::crc64(w.buffer().data(), w.buffer().size());
   return d;
 }
@@ -414,7 +411,7 @@ class Auditor {
         // Replayed steps must be invisible: no fault events consumed, no
         // observer callbacks, no metrics-phase inflation.
         fault::InjectionPause pause;
-        observers_off();
+        sim_->set_observers_enabled(false);
         obs::ScopedTelemetry telemetry_off(false);
         try {
           util::BinaryReader r(baseline_blob_);
@@ -433,10 +430,10 @@ class Auditor {
           util::BinaryReader lr(live_writer.buffer());
           sim_->restore_checkpoint(lr);
         } catch (...) {
-          observers_on();
+          sim_->set_observers_enabled(true);
           throw;
         }
-        observers_on();
+        sim_->set_observers_enabled(true);
       }
       metrics.shadow_replays.add();
       metrics.shadow_steps.add(step - baseline_step_);
@@ -465,16 +462,6 @@ class Auditor {
     return {true, std::move(detail)};
   }
 
-  void observers_off() {
-    if constexpr (requires { sim_->set_observers_enabled(false); }) {
-      sim_->set_observers_enabled(false);
-    }
-  }
-  void observers_on() {
-    if constexpr (requires { sim_->set_observers_enabled(true); }) {
-      sim_->set_observers_enabled(true);
-    }
-  }
 
   void charge(double seconds) {
     detail::audit_metrics().time_ns.add(

@@ -102,7 +102,7 @@ struct SupervisorConfig {
 
 /// One recovery decision, in the order taken.
 struct RecoveryEvent {
-  uint64_t step = 0;
+  uint64_t step = 0;  ///< step at which the failure was detected
   FailureKind kind = FailureKind::kNone;
   RecoveryAction action = RecoveryAction::kRetry;
   double backoff_s = 0.0;
@@ -363,6 +363,8 @@ class Supervisor {
 
   void handle_failure(FailureKind kind, const std::string& detail_text) {
     auto& metrics = detail::supervisor_metrics();
+    // Recovery moves the step counter; events carry the failing step.
+    const uint64_t failed_step = sim_->state().step;
     ++report_.faults_detected;
     metrics.faults.add();
 
@@ -428,7 +430,8 @@ class Supervisor {
       metrics.rollbacks.add();
       record(kind, RecoveryAction::kRollback, backoff,
              detail_text + " -> rolled back to step " +
-                 std::to_string(ring_.newest_step()));
+                 std::to_string(ring_.newest_step()),
+             failed_step);
       if (auditor_) auditor_->on_recovery();
       return;
     } catch (const Error& ring_error) {
@@ -450,7 +453,8 @@ class Supervisor {
                detail_text + " -> restarted from " + used +
                    (primary_error.empty()
                         ? std::string{}
-                        : " (primary rejected: " + primary_error + ")"));
+                        : " (primary rejected: " + primary_error + ")"),
+               failed_step);
         if (auditor_) auditor_->on_recovery();
         return;
       } catch (const Error& disk_error) {
@@ -532,10 +536,12 @@ class Supervisor {
     return b;
   }
 
+  /// Appends an event stamped with `step` (default: the current step).
   void record(FailureKind kind, RecoveryAction action, double backoff,
-              std::string detail_text) {
-    report_.events.push_back(RecoveryEvent{sim_->state().step, kind, action,
-                                           backoff, std::move(detail_text)});
+              std::string detail_text, std::optional<uint64_t> step = {}) {
+    report_.events.push_back(RecoveryEvent{step.value_or(sim_->state().step),
+                                           kind, action, backoff,
+                                           std::move(detail_text)});
   }
 
   Sim* sim_;

@@ -75,7 +75,7 @@ class DistributedEngine {
   [[nodiscard]] size_t alive_node_count() const;
   [[nodiscard]] const EngineOptions& options() const { return options_; }
   [[nodiscard]] const machine::TorusTopology& torus() const { return torus_; }
-  /// Shared so the surrounding driver (MachineSimulation) can reuse the
+  /// Shared so the machine force provider (MachineForces) can reuse the
   /// same pool for neighbor-list rebuilds.
   [[nodiscard]] const std::shared_ptr<ExecutionContext>& execution() const {
     return exec_;

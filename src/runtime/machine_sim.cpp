@@ -4,26 +4,15 @@
 #include <string>
 
 #include "ff/nonbonded_simd.hpp"
-#include "math/units.hpp"
-#include "md/engine_api.hpp"
-#include "md/serialize.hpp"
-#include "md/simulation.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
 namespace antmd::runtime {
 
-// The machine-mapped driver and the reference md::Simulation present one
-// engine surface; generic layers constrain on it instead of special-casing.
-static_assert(md::EngineApi<MachineSimulation>);
 namespace {
 
 struct MachineMetrics {
-  obs::Counter& steps;
-  obs::Counter& integrate_ns;
-  obs::Counter& constraints_ns;
   obs::Gauge& step_seconds;
   obs::Gauge& total_seconds;
   obs::Gauge& ns_day;
@@ -48,10 +37,7 @@ struct MachineMetrics {
 
 MachineMetrics& machine_metrics() {
   auto& reg = obs::MetricsRegistry::global();
-  static MachineMetrics m{reg.counter("runtime.step.count"),
-                          reg.counter("runtime.integrate.time_ns"),
-                          reg.counter("runtime.constraints.time_ns"),
-                          reg.gauge("machine.model.step_seconds"),
+  static MachineMetrics m{reg.gauge("machine.model.step_seconds"),
                           reg.gauge("machine.model.total_seconds"),
                           reg.gauge("machine.model.ns_per_day"),
                           reg.gauge("machine.model.htis_utilization"),
@@ -97,58 +83,60 @@ void accumulate(machine::StepBreakdown& acc,
 }  // namespace
 
 void MachineSimConfig::validate() const {
-  // One set of range checks for both engines: a bad timestep or k-space
-  // cadence is the same ConfigError on the machine as on the host.
-  md::SimulationConfig shared;
-  shared.dt_fs = dt_fs;
-  shared.kspace_interval = kspace_interval;
-  shared.neighbor_skin = neighbor_skin;
-  shared.cluster_width = cluster_width;
-  shared.validate();
-}
-
-MachineSimulation::MachineSimulation(ForceField& ff,
-                                     machine::MachineConfig machine_cfg,
-                                     std::vector<Vec3> positions, Box box,
-                                     MachineSimConfig config)
-    // validate() before any member uses config fields (neighbor list, dt).
-    : ff_((config.validate(), &ff)),
-      config_(config),
-      timing_(machine_cfg),
-      transport_(machine_cfg, config.transport),
-      engine_(ff, machine_cfg, config.engine),
-      dt_(units::fs_to_internal(config.dt_fs)),
-      nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
-             config.nonbonded_kernel == ff::NonbondedKernel::kCluster,
-             config.cluster_width),
-      constraints_(ff.topology(), 1e-8, 500,
-                   config.constraint_algorithm),
-      thermostat_(ff.topology(), config.thermostat),
-      current_(positions.size()),
-      kspace_cache_(positions.size()) {
-  const Topology& topo = ff.topology();
-  ANTMD_REQUIRE(positions.size() == topo.atom_count(),
-                "positions/topology size mismatch");
-
-  state_.positions = std::move(positions);
-  state_.box = box;
-  state_.velocities.assign(topo.atom_count(), Vec3{});
-  if (config.init_temperature_k >= 0) {
-    md::init_velocities(topo, config.init_temperature_k,
-                        config.velocity_seed, state_);
+  md::SimulationConfig::validate();
+  if (respa_inner > 1) {
+    throw ConfigError(
+        "the machine engine does not model RESPA: respa_inner must be 1, "
+        "got " + std::to_string(respa_inner));
   }
-  ff_->on_box_changed(state_.box);
-  nlist_.set_execution(engine_.execution());
-  nlist_.build(state_.positions, state_.box);
-  engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                       cluster_arg());
-  evaluate_forces(/*kspace_due=*/true);
+  if (barostat.kind != md::BarostatKind::kNone) {
+    throw ConfigError(
+        "the machine engine does not model a barostat (its per-node virial "
+        "merge is not bit-identical across node counts)");
+  }
 }
 
-void MachineSimulation::evaluate_forces(bool kspace_due) {
+MachineForces::MachineForces(ForceField& ff,
+                             const machine::MachineConfig& machine_cfg,
+                             const MachineSimConfig& config)
+    : timing_(machine_cfg),
+      transport_(machine_cfg, config.transport),
+      engine_(ff, machine_cfg, EngineOptions{.execution = config.execution}),
+      nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
+             config.nonbonded_kernel == ff::NonbondedKernel::kCluster) {
+  nlist_.set_execution(engine_.execution());
+}
+
+void MachineForces::init(State& state, const md::SimulationConfig& config) {
+  live_ = &config;
+  rebuild(state);
+}
+
+void MachineForces::rebuild(State& state) {
+  nlist_.build(state.positions, state.box);
+  redistribute(state);
+}
+
+void MachineForces::compute(State& state, const md::ForceRequest& request,
+                            ForceResult& out, ForceResult& kspace_cache) {
+  ANTMD_REQUIRE(request.terms == md::ForceTerms::kAll,
+                "the machine evaluates all force terms at once");
+  if (nlist_.update(state.positions, state.box)) redistribute(state);
   machine::StepWork work =
-      engine_.evaluate(state_.positions, state_.box, state_.time,
-                       nlist_.pairs(), kspace_due, current_, kspace_cache_);
+      engine_.evaluate(state.positions, state.box, state.time, nlist_.pairs(),
+                       request.kspace_due, out, kspace_cache);
+  if (request.restore) return;
+  charge(std::move(work));
+
+  uint64_t poison_atom = 0;
+  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
+    out.forces.set_quanta(
+        poison_atom % out.forces.size(),
+        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
+  }
+}
+
+void MachineForces::charge(machine::StepWork work) {
   work.tempering_decisions = pending_tempering_decisions_;
   pending_tempering_decisions_ = 0;
   const bool profiling = obs::profiling_enabled();
@@ -167,13 +155,6 @@ void MachineSimulation::evaluate_forces(bool kspace_due) {
   if (obs::enabled() || profiling) {
     publish_model_metrics(work, profiling ? &attr : nullptr);
   }
-
-  uint64_t poison_atom = 0;
-  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-    current_.forces.set_quanta(
-        poison_atom % current_.forces.size(),
-        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
-  }
 }
 
 // Publishes the modeled-performance picture for the step just timed.  Reads
@@ -181,7 +162,7 @@ void MachineSimulation::evaluate_forces(bool kspace_due) {
 // writes back into the simulation, so telemetry cannot change a trajectory.
 // `attr` is non-null only under attribution profiling; one contention pass
 // serves both the gauges and the profiler's per-link feed.
-void MachineSimulation::publish_model_metrics(
+void MachineForces::publish_model_metrics(
     const machine::StepWork& work, const machine::NetworkAttribution* attr) {
   auto& m = machine_metrics();
   m.step_seconds.set(last_breakdown_.total);
@@ -229,7 +210,7 @@ void MachineSimulation::publish_model_metrics(
 // Each message class mirrors its StepBreakdown field with the same per-step
 // `+=` sequence the aggregate uses, so class sums stay bit-exact against
 // accumulated().network_total() (profile_test).
-void MachineSimulation::feed_profile(const machine::NetworkAttribution& attr) {
+void MachineForces::feed_profile(const machine::NetworkAttribution& attr) {
   obs::Profile& p = profile_ ? *profile_ : obs::Profile::global();
 
   obs::NetSample s;
@@ -299,91 +280,30 @@ void MachineSimulation::feed_profile(const machine::NetworkAttribution& attr) {
   p.record_step();
 }
 
-void MachineSimulation::step() {
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-  const auto& masses = topo.masses();
-  machine_metrics().steps.add();
-
-  {
-    obs::ScopedTimer integrate_timer(machine_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * masses[i])) *
-                              current_.forces.force(i);
-    }
-    scratch_before_ = state_.positions;
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.positions[i] += dt_ * state_.velocities[i];
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("runtime.constraints", "runtime",
-                          &machine_metrics().constraints_ns);
-    constraints_.apply_positions(scratch_before_, state_.positions,
-                                 state_.velocities, dt_, state_.box);
-  }
-
-  if (nlist_.update(state_.positions, state_.box)) {
-    engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                         cluster_arg());
-  }
-  const bool kspace_due =
-      (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  evaluate_forces(kspace_due);
-
-  {
-    obs::ScopedTimer integrate_timer(machine_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * masses[i])) *
-                              current_.forces.force(i);
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("runtime.constraints", "runtime",
-                          &machine_metrics().constraints_ns);
-    constraints_.apply_velocities(state_.positions, state_.velocities,
-                                  state_.box);
-  }
-
-  state_.step += 1;
-  state_.time += dt_;
-  thermostat_.apply(state_, dt_);
-
-  if (config_.com_removal_interval > 0 &&
-      state_.step % static_cast<uint64_t>(config_.com_removal_interval) ==
-          0) {
-    md::remove_com_momentum(topo, state_);
-  }
-  notify_observers();
+double MachineForces::ns_per_day() const {
+  const double mean = mean_step_time_s();
+  if (mean <= 0) return 0.0;
+  return machine::ns_per_day(live_->dt_fs, mean);
 }
 
-void MachineSimulation::notify_observers() {
-  md::notify_step(*this, observers_, wall_);
+namespace {
+
+std::unique_ptr<MachineForces> machine_forces(
+    ForceField& ff, const machine::MachineConfig& machine_cfg,
+    const MachineSimConfig& config) {
+  config.validate();  // before any member is built
+  return std::make_unique<MachineForces>(ff, machine_cfg, config);
 }
 
-void MachineSimulation::run(size_t n) {
-  for (size_t i = 0; i < n; ++i) step();
-}
+}  // namespace
 
-void MachineSimulation::set_timestep_fs(double dt_fs) {
-  if (!(dt_fs > 0)) {
-    throw ConfigError("timestep must be positive, got dt_fs=" +
-                      std::to_string(dt_fs));
-  }
-  config_.dt_fs = dt_fs;
-  dt_ = units::fs_to_internal(dt_fs);
-}
-
-void MachineSimulation::save_physics_checkpoint(
-    util::BinaryWriter& out) const {
-  md::write_state(out, state_);
-  out.write_f64(dt_);
-  thermostat_.save_state(out);
-  md::write_force_result(out, kspace_cache_);
-}
+MachineSimulation::MachineSimulation(ForceField& ff,
+                                     machine::MachineConfig machine_cfg,
+                                     std::vector<Vec3> positions, Box box,
+                                     MachineSimConfig config)
+    : md::Simulation(ff, std::move(positions), box, config,
+                     machine_forces(ff, machine_cfg, config)),
+      machine_(static_cast<MachineForces&>(provider())) {}
 
 void MachineSimulation::save_checkpoint(util::BinaryWriter& out) const {
   save_physics_checkpoint(out);
@@ -392,10 +312,10 @@ void MachineSimulation::save_checkpoint(util::BinaryWriter& out) const {
   // *wall* time (nondeterministic), and the SDC auditor digests this exact
   // blob — any nondeterministic byte here would make every shadow replay
   // look like corruption.
-  out.write_f64(modeled_time_s_);
-  out.write_u64(steps_timed_);
-  machine::StepBreakdown acc = accumulated_;
-  machine::StepBreakdown last = last_breakdown_;
+  out.write_f64(machine_.modeled_time_s_);
+  out.write_u64(machine_.steps_timed_);
+  machine::StepBreakdown acc = machine_.accumulated_;
+  machine::StepBreakdown last = machine_.last_breakdown_;
   acc.audit = 0.0;
   last.audit = 0.0;
   out.write_pod(acc);
@@ -405,59 +325,31 @@ void MachineSimulation::save_checkpoint(util::BinaryWriter& out) const {
   // the resumed run's reliability picture identical to an uninterrupted one.
   std::vector<char> down;
   machine::TransportStats tstats;
-  transport_.save_state(down, tstats);
+  machine_.transport_.save_state(down, tstats);
   out.write_pod_vector(down);
   out.write_pod(tstats);
 }
 
 void MachineSimulation::restore_checkpoint(util::BinaryReader& in) {
-  const Topology& topo = ff_->topology();
-  State restored = md::read_state(in);
-  if (restored.positions.size() != topo.atom_count()) {
-    throw IoError("checkpoint was written for a different system: " +
-                  std::to_string(restored.positions.size()) + " atoms vs " +
-                  std::to_string(topo.atom_count()) + " in topology");
-  }
-  state_ = std::move(restored);
-  dt_ = in.read_f64();
-  config_.dt_fs = units::internal_to_fs(dt_);
-  thermostat_.restore_state(in);
-  md::read_force_result(in, kspace_cache_);
-  if (kspace_cache_.forces.size() != topo.atom_count()) {
-    throw IoError("checkpoint k-space cache has wrong atom count");
-  }
-  modeled_time_s_ = in.read_f64();
-  steps_timed_ = in.read_u64();
+  read_physics(in, /*barostat_block=*/false);
+  machine_.modeled_time_s_ = in.read_f64();
+  machine_.steps_timed_ = in.read_u64();
   // Audit wall-time survives the restore: the work was really done even if
   // the trajectory it verified (or the replay that consumed it) is gone.
-  const double audit_acc = accumulated_.audit;
-  const double audit_last = last_breakdown_.audit;
-  accumulated_ = in.read_pod<machine::StepBreakdown>();
-  last_breakdown_ = in.read_pod<machine::StepBreakdown>();
-  accumulated_.audit = audit_acc;
-  last_breakdown_.audit = audit_last;
+  const double audit_acc = machine_.accumulated_.audit;
+  const double audit_last = machine_.last_breakdown_.audit;
+  machine_.accumulated_ = in.read_pod<machine::StepBreakdown>();
+  machine_.last_breakdown_ = in.read_pod<machine::StepBreakdown>();
+  machine_.accumulated_.audit = audit_acc;
+  machine_.last_breakdown_.audit = audit_last;
   std::vector<char> down = in.read_pod_vector<char>();
   auto tstats = in.read_pod<machine::TransportStats>();
-  transport_.restore_state(std::move(down), tstats);
-  last_delivery_ = machine::StepDelivery{};
-
+  machine_.transport_.restore_state(std::move(down), tstats);
+  machine_.last_delivery_ = machine::StepDelivery{};
   // Rebuild the distributed picture at the restored positions and recompute
-  // forces directly through the engine: bit-exact for the same reason as in
-  // md::Simulation (beyond-cutoff pairs contribute exactly zero, the k-space
-  // term comes from the restored cache), and free of modeled-time charges so
-  // the performance accumulators stay faithful to the original run.
-  ff_->on_box_changed(state_.box);
-  nlist_.build(state_.positions, state_.box);
-  engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                       cluster_arg());
-  engine_.evaluate(state_.positions, state_.box, state_.time, nlist_.pairs(),
-                   /*kspace_due=*/false, current_, kspace_cache_);
-}
-
-double MachineSimulation::ns_per_day() const {
-  double mean = mean_step_time_s();
-  if (mean <= 0) return 0.0;
-  return machine::ns_per_day(config_.dt_fs, mean);
+  // forces, free of modeled-time charges so the performance accumulators
+  // stay faithful to the original run.
+  refresh_forces(/*restoring=*/true);
 }
 
 }  // namespace antmd::runtime

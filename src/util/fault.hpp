@@ -16,8 +16,10 @@
 //                  also polled by io::XyzWriter::write_frame, where half a
 //                  trajectory frame reaches the disk and io::repair_xyz
 //                  must truncate back to the last complete frame
-//   kNanForce      Simulation/MachineSimulation   -> poisons one atom's
-//                  force accumulator with kPoisonQuanta
+//   kNanForce      md and machine force providers -> poisons one atom's
+//                  force accumulator with kPoisonQuanta (once per
+//                  evaluation; not in RESPA's bonded-only pass, nor in
+//                  the machine's restore)
 //   kNodeFail      DistributedEngine::redistribute -> marks a torus node
 //                  failed; its work is remapped to surviving nodes
 //   kLinkDrop      machine::ReliableTransport      -> a message is dropped

@@ -636,6 +636,31 @@ TEST(ConfigValidation, BothEnginesRejectBadTimestepAndKspaceInterval) {
                ConfigError);
 }
 
+// The machine runs the host's integrator and shares its validation, and
+// rejects what it does not model — RESPA and barostats — instead of
+// silently running plain NVT.
+TEST(ConfigValidation, MachineRejectsRespaAndBarostat) {
+  auto spec = build_lj_fluid(125, 0.021, 1);
+  ForceField field(spec.topology, lj_model());
+  auto build = [&](const runtime::MachineSimConfig& machine) {
+    runtime::MachineSimulation sim(field, machine::anton_with_torus(2, 2, 2),
+                                   spec.positions, spec.box, machine);
+  };
+  for (int inner : {0, 2}) {
+    runtime::MachineSimConfig machine;
+    machine.respa_inner = inner;
+    EXPECT_THROW(build(machine), ConfigError) << "respa_inner=" << inner;
+  }
+  for (md::BarostatKind kind :
+       {md::BarostatKind::kBerendsen, md::BarostatKind::kMonteCarlo,
+        md::BarostatKind::kBerendsenSemiIso}) {
+    runtime::MachineSimConfig machine;
+    machine.barostat.kind = kind;
+    EXPECT_THROW(build(machine), ConfigError)
+        << "barostat kind " << static_cast<int>(kind);
+  }
+}
+
 TEST(ConfigValidation, SetTimestepRejectsNonPositive) {
   auto spec = build_lj_fluid(125, 0.021, 1);
   ForceField field(spec.topology, lj_model());

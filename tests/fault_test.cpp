@@ -599,6 +599,73 @@ TEST(FaultSchedule, ResumeReArmsRemainingScheduleAtSameAbsoluteSteps) {
   std::remove(path.c_str());
 }
 
+// Fault schedules count polls of an injection point, so moving a poll
+// moves every scheduled fault.  This pins where each engine polls
+// kNanForce: the host once per force evaluation (construction, every step,
+// restore, invalidate_forces and each barostat rescale) but not in RESPA's
+// bonded-only pass; the machine at construction and on every step, but not
+// on restore.
+TEST(FaultSchedule, NanForcePollCadenceIsPinnedPerEngine) {
+  auto spec = build_lj_fluid(125, 0.021, 3);
+  fault::FaultPlan never;
+  never.kind = fault::FaultKind::kNanForce;
+  never.fire_after = uint64_t{1} << 62;
+  fault::ScopedFault armed(never);
+  auto polls = [] { return fault::event_count(fault::FaultKind::kNanForce); };
+  auto save_restore = [](auto& sim) {
+    util::BinaryWriter w;
+    sim.save_checkpoint(w);
+    util::BinaryReader r(w.buffer());
+    sim.restore_checkpoint(r);
+  };
+  constexpr uint64_t kSteps = 10;
+  constexpr int kBarostatInterval = 5;
+
+  {  // Host velocity Verlet with a rescaling barostat.
+    ForceField field(spec.topology, lj_model());
+    auto cfg = langevin_config(120);
+    cfg.barostat.kind = md::BarostatKind::kBerendsen;
+    cfg.barostat.interval = kBarostatInterval;
+    const uint64_t p0 = polls();
+    md::Simulation sim(field, spec.positions, spec.box, cfg);
+    EXPECT_EQ(polls() - p0, 1u) << "host construction";
+    sim.run(kSteps);
+    EXPECT_EQ(polls() - p0, 1 + kSteps + kSteps / kBarostatInterval)
+        << "host steps and barostat rescales";
+    save_restore(sim);
+    EXPECT_EQ(polls() - p0, 2 + kSteps + kSteps / kBarostatInterval)
+        << "host restore";
+    sim.invalidate_forces();
+    EXPECT_EQ(polls() - p0, 3 + kSteps + kSteps / kBarostatInterval)
+        << "host invalidate_forces";
+  }
+  {  // Host RESPA: the first step seeds the split caches with one more
+     // nonbonded evaluation; the bonded-only passes never poll.
+    ForceField field(spec.topology, lj_model());
+    auto cfg = langevin_config(120);
+    cfg.respa_inner = 2;
+    const uint64_t p0 = polls();
+    md::Simulation sim(field, spec.positions, spec.box, cfg);
+    EXPECT_EQ(polls() - p0, 1u) << "RESPA construction";
+    sim.run(kSteps);
+    EXPECT_EQ(polls() - p0, 2 + kSteps) << "RESPA steps";
+    save_restore(sim);
+    EXPECT_EQ(polls() - p0, 3 + kSteps) << "RESPA restore";
+  }
+  {  // Machine: construction and steps poll, restore does not.
+    ForceField field(spec.topology, lj_model());
+    const uint64_t p0 = polls();
+    runtime::MachineSimulation sim(field, machine::anton_with_torus(2, 2, 2),
+                                   spec.positions, spec.box,
+                                   machine_config());
+    EXPECT_EQ(polls() - p0, 1u) << "machine construction";
+    sim.run(kSteps);
+    EXPECT_EQ(polls() - p0, 1 + kSteps) << "machine steps";
+    save_restore(sim);
+    EXPECT_EQ(polls() - p0, 1 + kSteps) << "machine restore";
+  }
+}
+
 TEST(FaultScope, ParseFaultPlanRoundTrips) {
   fault::FaultPlan plan = fault::parse_fault_plan("nan_force:10:2:7");
   EXPECT_EQ(plan.kind, fault::FaultKind::kNanForce);

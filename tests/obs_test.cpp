@@ -125,7 +125,7 @@ TEST(Metrics, StandardSetCoversEverySubsystem) {
   obs::register_standard_metrics(reg);
   auto snap = reg.snapshot();
   for (const char* name :
-       {"md.step.count", "runtime.step.count",
+       {"md.step.count", "runtime.redistribute.count",
         "sampling.exchange.attempt.count", "resilience.health.check.count",
         "util.fault.node_fail.count"}) {
     EXPECT_TRUE(snap.counters.count(name)) << name;

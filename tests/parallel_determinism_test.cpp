@@ -68,7 +68,7 @@ std::vector<Vec3> run_machine(size_t threads) {
   cfg.init_temperature_k = 150.0;
   cfg.thermostat.kind = md::ThermostatKind::kLangevin;
   cfg.thermostat.temperature_k = 150.0;
-  cfg.engine.execution.threads = threads;
+  cfg.execution.threads = threads;
   runtime::MachineSimulation sim(field, machine::anton_with_torus(2, 2, 2),
                                  spec.positions, spec.box, cfg);
   sim.run(kSteps);

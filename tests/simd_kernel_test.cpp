@@ -4,7 +4,7 @@
 // bit-for-bit equivalence with the scalar tile loop — not "close", equal.
 // This suite fuzzes that claim over ~200 seeded random systems spanning
 // the kernel envelope: mixed atom types (including zero-epsilon species),
-// every electrostatics mode, non-unit H-REMD scales, both cluster widths,
+// every electrostatics mode, non-unit H-REMD scales,
 // varied cutoffs/skins/bin counts, non-cubic boxes, and systems small
 // enough that whole tiles are padding (kPadAtom edges) or a single atom.
 // Each ISA the build + CPU supports is called directly (no dispatch
@@ -43,7 +43,6 @@ struct FuzzCase {
   Box box;
   double cutoff = 8.0;
   double skin = 1.0;
-  uint32_t width = ff::kDefaultClusterWidth;
   ff::NonbondedModel model;
   double vdw_scale = 1.0;
   double cps = 1.0;
@@ -62,7 +61,6 @@ FuzzCase make_case(uint64_t seed) {
   FuzzCase c;
   c.cutoff = uni(4.0, 9.0);
   c.skin = uni(0.3, 1.5);
-  c.width = (pick(2) == 0) ? ff::kMinClusterWidth : ff::kMaxClusterWidth;
   const double base = 2.0 * (c.cutoff + c.skin) * (1.02 + uni(0.0, 0.5));
   const bool cubic = pick(2) == 0;
   c.box = Box(base, cubic ? base : base * uni(1.0, 1.3),
@@ -95,7 +93,6 @@ FuzzCase make_case(uint64_t seed) {
   if (charged && pick(5) == 0) c.cps = uni(0.25, 1.75);
   c.label = "seed=" + std::to_string(seed) + " n=" + std::to_string(n_atoms) +
             " types=" + std::to_string(n_types) +
-            " w=" + std::to_string(c.width) +
             " elec=" + std::to_string(static_cast<int>(c.model.electrostatics));
   return c;
 }
@@ -169,8 +166,7 @@ std::vector<std::pair<std::string, ClusterKernelFn>> simd_variants() {
 void run_differential(const FuzzCase& c) {
   ff::PairTableSet tables(c.topo, c.model);
   ASSERT_TRUE(tables.simd_arena().valid) << c.label;
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, /*cluster_mode=*/true,
-                         c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, /*cluster_mode=*/true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -209,7 +205,7 @@ TEST(SimdKernel, CustomTableSameGeometryStaysSimd) {
   tables.set_custom_table(
       0, 0, ff::make_softcore_lj_table(3.1, 0.2, 0.5, 0.5, c.model));
   ASSERT_TRUE(tables.simd_arena().valid);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -258,7 +254,7 @@ TEST(SimdKernel, ShortTableExercisesRangeGuard) {
   ASSERT_TRUE(tables.simd_arena().valid)
       << "single-type arena should stay uniform";
   ASSERT_LT(tables.simd_arena().s_max, c.cutoff * c.cutoff);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -285,7 +281,7 @@ TEST(SimdKernel, ArenaFallbackOnMixedGeometry) {
                                       c.model.table_inner, c.model.cutoff,
                                       c.model.table_bins / 2, false));
   EXPECT_FALSE(tables.simd_arena().valid);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -329,7 +325,7 @@ TEST(SimdKernel, DispatchSmokeScalarAndActiveIsaRunOnBuildHost) {
   ASSERT_TRUE(ff::kernel_isa_supported(ff::active_kernel_isa()));
   const FuzzCase c = make_case(7);
   ff::PairTableSet tables(c.topo, c.model);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);

@@ -382,6 +382,38 @@ TEST(Supervisor, TransportRetryBudgetExhaustionDownMarksAndStaysBitExact) {
   std::remove((path + ".bak").c_str());
 }
 
+// A recovery event is stamped with the step at which the failure was
+// detected, not with the step the rollback restored.
+TEST(Supervisor, RollbackEventRecordsTheFailingStep) {
+  auto spec = build_lj_fluid(125, 0.021, 11);
+  ForceField field(spec.topology, lj_model());
+  md::Simulation sim(field, spec.positions, spec.box, host_config());
+
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::kNanForce;
+  plan.fire_after = 25;
+  plan.payload = 17;
+  fault::ScopedFault f(plan);
+
+  resilience::SupervisorConfig sc;
+  sc.snapshot_interval = 10;
+  resilience::Supervisor<md::Simulation> sup(sim, sc);
+  const resilience::RecoveryReport report = sup.run(60);
+  ASSERT_TRUE(report.completed) << report.final_error;
+  ASSERT_EQ(report.rollbacks, 1u);
+  const std::string tag = "rolled back to step ";
+  size_t checked = 0;
+  for (const auto& e : report.events) {
+    if (e.action != resilience::RecoveryAction::kRollback) continue;
+    const size_t at = e.detail.find(tag);
+    ASSERT_NE(at, std::string::npos) << e.detail;
+    const uint64_t target = std::stoull(e.detail.substr(at + tag.size()));
+    EXPECT_GT(e.step, target) << e.detail;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 1u);
+}
+
 TEST(RecoveryReport, RenderAndAtomicWrite) {
   resilience::RecoveryReport report;
   report.completed = false;
