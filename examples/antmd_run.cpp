@@ -51,25 +51,33 @@
 //                          without --profile)
 //
 // Robustness options (command line overrides the matching config keys
-// `checkpoint`, `checkpoint_interval`, `resume`, `health`):
+// `checkpoint`, `checkpoint_interval`, `resume`; config key `health`):
 //   --checkpoint PATH      write an atomic, CRC-verified v2 checkpoint of
-//                          the simulation every checkpoint-interval steps
+//                          the simulation every checkpoint-interval steps,
+//                          counted from the step the run starts at
 //   --checkpoint-interval N  snapshot cadence in steps (default 200)
 //   --resume               restore from --checkpoint before running; when
 //                          the primary file fails its CRC the `.bak`
 //                          mirror is tried automatically; the run
 //                          continues to the configured total `steps`
-//   health = off|rollback|throw   numerical health guard policy; rollback
-//                          restores the last good snapshot at a reduced
-//                          timestep, throw aborts on the first violation
+//   health = off|rollback|throw   what a numerical failure (a health check
+//                          violation or a NumericalError) does: off rolls
+//                          back at the configured timestep, rollback also
+//                          shrinks it by 0.5 (compounding) at each
+//                          numerical rollback, throw exits 4 on the first
+//
+// A run with no --checkpoint, no --supervise and health = off steps the
+// simulation directly.  Every other run goes through one
+// resilience::Supervisor, which does all checkpointing and recovery.
 //
 // Fault tolerance (config keys `supervise`, `max_retries`, `watchdog_ms`,
 // `report_out`, `fault`; see DESIGN.md "Failure model & recovery"):
 //   --supervise            run under resilience::Supervisor: faults are
 //                          detected, classified transient/fatal, and
-//                          recovered by retry/rollback/restart; recovery
-//                          never changes the trajectory — a recovered run
-//                          is bit-identical to the fault-free run
+//                          recovered by retry/rollback/restart; unless
+//                          health = rollback shrinks the timestep, a
+//                          recovered run is bit-identical to the
+//                          fault-free run
 //   --max-retries N        recovery attempts per failure episode (default 3)
 //   --watchdog-ms X        modeled per-step deadline in ms; a hung node
 //                          trips it and is remapped (0 = off)
@@ -119,7 +127,6 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "resilience/audit.hpp"
-#include "resilience/health.hpp"
 #include "resilience/supervisor.hpp"
 #include "runtime/machine_sim.hpp"
 #include "topo/builders.hpp"
@@ -140,7 +147,9 @@ SystemSpec build_system(const io::RunConfig& cfg) {
     WaterModel wm = WaterModel::kRigid3Site;
     if (model == "flexible3") wm = WaterModel::kFlexible3Site;
     else if (model == "rigid4") wm = WaterModel::kRigid4Site;
-    else ANTMD_REQUIRE(model == "rigid3", "unknown water_model: " + model);
+    else if (model != "rigid3") {
+      throw ConfigError("unknown water_model: " + model);
+    }
     return build_water_box(size, wm, seed);
   }
   if (system == "ljfluid") {
@@ -230,14 +239,30 @@ struct RecoveryExhausted : Error {
   using Error::Error;
 };
 
+/// The `health` key as the Supervisor's numerical policy.
+resilience::HealthConfig health_config(const std::string& health) {
+  resilience::HealthConfig hc;
+  if (health == "rollback") {
+    hc.dt_scale_on_retry = 0.5;
+  } else if (health == "throw") {
+    hc.policy = resilience::HealthPolicy::kThrow;
+  } else if (health != "off") {
+    throw ConfigError("unknown health policy: " + health +
+                      " (off | rollback | throw)");
+  }
+  return hc;
+}
+
 /// Checkpoint/health/supervision settings shared by the host and machine
 /// branches.
 struct RobustnessOptions {
   std::string checkpoint;        ///< empty = no on-disk checkpointing
   int checkpoint_interval = 200;
   bool resume = false;
-  std::string health = "off";    ///< off | rollback | throw
-  bool supervise = false;        ///< run under resilience::Supervisor
+  /// Run under resilience::Supervisor: --supervise, --checkpoint or a
+  /// `health` other than off.
+  bool supervise = false;
+  resilience::HealthConfig health;
   int max_retries = 3;
   double watchdog_ms = 0.0;
   std::string report = "antmd_recovery_report.txt";
@@ -251,17 +276,15 @@ struct RobustnessOptions {
 };
 
 /// Runs `sim` to the configured total step count, optionally resuming from
-/// and mirroring to a v2 checkpoint file, under the numerical health guard
-/// when requested.  Returns the wall-clock seconds spent stepping (excludes
-/// construction and resume I/O) for the end-of-run summary.
-template <typename Sim>
-double run_simulation(Sim& sim, size_t steps, const RobustnessOptions& opt) {
+/// a v2 checkpoint file, under the Supervisor unless the run is plain.
+/// Returns the wall-clock seconds spent stepping (excludes construction and
+/// resume I/O) for the end-of-run summary.
+double run_simulation(md::Simulation& sim, size_t steps,
+                      const RobustnessOptions& opt) {
   size_t remaining = steps;
   if (opt.resume) {
-    ANTMD_REQUIRE(!opt.checkpoint.empty(),
-                  "--resume needs a checkpoint path (--checkpoint)");
     // A torn/corrupt primary (CRC mismatch) degrades to the `.bak` mirror
-    // kept by the checkpointing layers; only both failing is fatal.
+    // the Supervisor keeps; only both failing is fatal.
     std::string used =
         io::load_checkpoint_v2_or_backup(opt.checkpoint, {{"sim", &sim}});
     uint64_t done = sim.state().step;
@@ -270,51 +293,27 @@ double run_simulation(Sim& sim, size_t steps, const RobustnessOptions& opt) {
                 used.c_str(), done, remaining);
   }
   md::WallTimer wall;
-  if (opt.supervise) {
-    resilience::SupervisorConfig sc;
-    sc.max_retries = opt.max_retries;
-    sc.watchdog_ms = opt.watchdog_ms;
-    sc.snapshot_interval = opt.checkpoint_interval;
-    sc.checkpoint_path = opt.checkpoint;
-    sc.report_path = opt.report;
-    sc.audit.interval = opt.audit_interval;
-    sc.audit.shadow_window = opt.audit_shadow_window;
-    sc.audit.scrub_interval = opt.scrub_interval;
-    resilience::Supervisor<Sim> supervisor(sim, sc);
-    if (opt.audit_interval > 0) supervisor.enable_audit(opt.scrubber);
-    resilience::RecoveryReport report = supervisor.run(remaining);
-    std::fputs(report.render().c_str(), stdout);
-    if (!report.completed) {
-      throw RecoveryExhausted(report.final_error);
-    }
-    return wall.seconds();
-  }
-  if (opt.checkpoint.empty() && opt.health == "off") {
+  if (!opt.supervise) {
     sim.run(remaining);
     return wall.seconds();
   }
-  resilience::HealthConfig hc;
-  if (opt.health == "throw") {
-    hc.policy = resilience::HealthPolicy::kThrow;
-  } else {
-    ANTMD_REQUIRE(opt.health == "off" || opt.health == "rollback",
-                  "unknown health policy: " + opt.health);
-    hc.policy = resilience::HealthPolicy::kRollback;
-  }
-  hc.checkpoint_interval = opt.checkpoint_interval;
-  hc.checkpoint_path = opt.checkpoint;
-  resilience::HealthGuard<Sim> guard(sim, hc);
-  resilience::HealthReport report = guard.run(remaining);
-  if (report.violations > 0) {
-    std::printf("health guard: %" PRIu64 " violation(s), %" PRIu64
-                " rollback(s), final dt %.3f fs (last: %s)\n",
-                report.violations, report.rollbacks, report.final_dt_fs,
-                report.last_violation.c_str());
-  }
-  if (!opt.checkpoint.empty()) {
-    std::printf("checkpoint: %s (every %d steps, policy %s)\n",
-                opt.checkpoint.c_str(), hc.checkpoint_interval,
-                resilience::policy_name(hc.policy));
+  resilience::SupervisorConfig sc;
+  sc.max_retries = opt.max_retries;
+  sc.watchdog_ms = opt.watchdog_ms;
+  sc.snapshot_interval = opt.checkpoint_interval;
+  sc.checkpoint_path = opt.checkpoint;
+  sc.report_path = opt.report;
+  sc.health = opt.health;
+  sc.audit.interval = opt.audit_interval;
+  sc.audit.shadow_window = opt.audit_shadow_window;
+  sc.audit.scrub_interval = opt.scrub_interval;
+  resilience::Supervisor supervisor(sim, sc);
+  if (opt.audit_interval > 0) supervisor.enable_audit(opt.scrubber);
+  resilience::RecoveryReport report = supervisor.run(remaining);
+  std::fputs(report.render().c_str(), stdout);
+  std::printf("final dt: %.3f fs\n", sim.timestep_fs());
+  if (!report.completed) {
+    throw RecoveryExhausted(report.final_error);
   }
   return wall.seconds();
 }
@@ -517,7 +516,8 @@ int main(int argc, char** argv) {
     robust.checkpoint = cfg.get_string("checkpoint", "");
     robust.checkpoint_interval = cfg.get_int("checkpoint_interval", 200);
     robust.resume = cfg.get_bool("resume", false);
-    robust.health = cfg.get_string("health", "off");
+    const std::string health = cfg.get_string("health", "off");
+    robust.health = health_config(health);
     robust.supervise = cfg.get_bool("supervise", false);
     robust.max_retries = cfg.get_int("max_retries", 3);
     robust.watchdog_ms = cfg.get_double("watchdog_ms", 0.0);
@@ -538,9 +538,16 @@ int main(int argc, char** argv) {
       robust.audit_shadow_window = cli_audit_shadow_window;
     }
     if (cli_scrub_interval >= 0) robust.scrub_interval = cli_scrub_interval;
-    ANTMD_REQUIRE(robust.audit_interval == 0 || robust.supervise,
-                  "--audit-interval requires --supervise (the supervisor "
-                  "performs the rollback recovery)");
+    if (robust.audit_interval > 0 && !robust.supervise) {
+      throw ConfigError("--audit-interval requires --supervise (the "
+                        "supervisor performs the rollback recovery)");
+    }
+    if (robust.resume && robust.checkpoint.empty()) {
+      throw ConfigError("--resume needs a checkpoint path (--checkpoint)");
+    }
+    // Checkpointing and numerical recovery are the Supervisor's too.
+    robust.supervise = robust.supervise || !robust.checkpoint.empty() ||
+                       health != "off";
 
     // Golden CRCs are captured now, before the run can flip any bits: the
     // scrubber covers the force field (packed spline tables + flattened
@@ -599,8 +606,8 @@ int main(int argc, char** argv) {
       sc.barostat.kind = md::BarostatKind::kBerendsen;
     } else if (barostat == "semiiso") {
       sc.barostat.kind = md::BarostatKind::kBerendsenSemiIso;
-    } else {
-      ANTMD_REQUIRE(barostat == "none", "unknown barostat: " + barostat);
+    } else if (barostat != "none") {
+      throw ConfigError("unknown barostat: " + barostat);
     }
     sc.barostat.pressure_atm = cfg.get_double("pressure", 1.0);
     sc.execution = exec;

@@ -1,15 +1,11 @@
 #include "fleet/run.hpp"
 
 #include <cstring>
-#include <optional>
 #include <utility>
 
-#include "ff/forcefield.hpp"
 #include "machine/config.hpp"
 #include "md/builder.hpp"
-#include "md/simulation.hpp"
 #include "runtime/machine_sim.hpp"
-#include "topo/builders.hpp"
 #include "util/error.hpp"
 
 namespace antmd::fleet {
@@ -170,81 +166,25 @@ resilience::SupervisorConfig build_supervision(
   return sup;
 }
 
-/// Owns one run's whole materialized stack in dependency order: the
-/// SystemSpec (topology + coordinates), the ForceField built on its
-/// topology, the engine built on the field, and the Supervisor wrapping
-/// the engine.  Destruction releases everything the run held.
-template <md::EngineApi Sim>
-class EngineDriver final : public Driver {
- public:
-  EngineDriver(SystemSpec system, const ff::NonbondedModel& model)
-      : system_(std::move(system)), field_(system_.topology, model) {}
-
-  [[nodiscard]] ForceField& field() { return field_; }
-  [[nodiscard]] const SystemSpec& system() const { return system_; }
-
-  void install(std::unique_ptr<Sim> sim,
-               resilience::SupervisorConfig supervision) {
-    sim_ = std::move(sim);
-    // Engines that support profile routing (machine) get a private
-    // collector, so multiplexed tenants never mix their attribution.
-    // Checked at materialization: flipping profiling mid-fleet does not
-    // retroactively create collectors.
-    if constexpr (requires { sim_->set_profile(profile_.get()); }) {
-      if (obs::profiling_enabled()) {
-        profile_ = std::make_unique<obs::Profile>();
-        sim_->set_profile(profile_.get());
-      }
-    }
-    const bool audit = supervision.audit.interval > 0;
-    supervisor_.emplace(*sim_, std::move(supervision));
-    if (audit) {
-      // Golden CRCs are captured here, at materialization, before any
-      // per-run bit-flip plan can fire: the scrubber covers the force
-      // field (packed spline tables + flattened exclusion list) and the
-      // topology arrays the engine reads every step.
-      scrubber_.add_object(field_);
-      scrubber_.add_object(system_.topology);
-      supervisor_->enable_audit(&scrubber_);
-    }
-  }
-
-  resilience::RecoveryReport advance(size_t steps) override {
-    return supervisor_->run(steps);
-  }
-  [[nodiscard]] const State& state() const override { return sim_->state(); }
-  [[nodiscard]] size_t atom_count() const override {
-    return system_.topology.atom_count();
-  }
-  [[nodiscard]] double potential_energy() const override {
-    return sim_->potential_energy();
-  }
-  [[nodiscard]] double temperature() const override {
-    return sim_->temperature();
-  }
-  [[nodiscard]] size_t snapshot_bytes() const override {
-    return supervisor_->snapshot_bytes();
-  }
-  [[nodiscard]] util::Checkpointable& checkpointable() override {
-    return *sim_;
-  }
-  [[nodiscard]] const obs::Profile* profile() const override {
-    return profile_.get();
-  }
-
- private:
-  SystemSpec system_;
-  ForceField field_;
-  /// Declared before sim_ so the sim's profile pointer never dangles.
-  std::unique_ptr<obs::Profile> profile_;
-  /// Declared before supervisor_: the supervisor's auditor holds a
-  /// pointer to the scrubber for the supervisor's whole lifetime.
-  resilience::Scrubber scrubber_;
-  std::unique_ptr<Sim> sim_;
-  std::optional<resilience::Supervisor<Sim>> supervisor_;
-};
-
 }  // namespace
+
+void Driver::install(std::unique_ptr<md::Simulation> sim,
+                     resilience::SupervisorConfig supervision,
+                     std::unique_ptr<obs::Profile> profile) {
+  profile_ = std::move(profile);
+  sim_ = std::move(sim);
+  const bool audit = supervision.audit.interval > 0;
+  supervisor_.emplace(*sim_, std::move(supervision));
+  if (audit) {
+    // Golden CRCs are captured here, at materialization, before any
+    // per-run bit-flip plan can fire: the scrubber covers the force field
+    // (packed spline tables + flattened exclusion list) and the topology
+    // arrays the engine reads every step.
+    scrubber_.add_object(field_);
+    scrubber_.add_object(system_.topology);
+    supervisor_->enable_audit(&scrubber_);
+  }
+}
 
 uint64_t state_digest(const State& state) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -270,9 +210,8 @@ std::unique_ptr<Driver> materialize(
   exec.threads = threads ? threads : 1;
   exec.shared_runtime = std::move(shared_runtime);
 
+  auto driver = std::make_unique<Driver>(std::move(system), model);
   if (spec.engine == "host") {
-    auto driver = std::make_unique<EngineDriver<md::Simulation>>(
-        std::move(system), model);
     md::SimulationBuilder builder;
     builder.dt_fs(spec.dt_fs)
         .thermostat(thermostat)
@@ -282,25 +221,30 @@ std::unique_ptr<Driver> materialize(
     driver->install(builder.build_unique(driver->field(),
                                          driver->system().positions,
                                          driver->system().box),
-                    build_supervision(spec, checkpoint_path));
+                    build_supervision(spec, checkpoint_path), nullptr);
     return driver;
   }
 
-  auto driver = std::make_unique<EngineDriver<runtime::MachineSimulation>>(
-      std::move(system), model);
   runtime::MachineSimConfig config;
   config.dt_fs = spec.dt_fs;
   config.thermostat = thermostat;
   config.init_temperature_k = spec.temperature_k;
   config.velocity_seed = spec.seed;
   config.execution = exec;
-  driver->install(std::make_unique<runtime::MachineSimulation>(
-                      driver->field(),
-                      machine::anton_with_torus(spec.nodes, spec.nodes,
-                                                spec.nodes),
-                      driver->system().positions, driver->system().box,
-                      config),
-                  build_supervision(spec, checkpoint_path));
+  auto sim = std::make_unique<runtime::MachineSimulation>(
+      driver->field(),
+      machine::anton_with_torus(spec.nodes, spec.nodes, spec.nodes),
+      driver->system().positions, driver->system().box, config);
+  // A private attribution collector per machine tenant, so multiplexed
+  // tenants never mix their attribution.  Decided at materialization:
+  // flipping profiling mid-fleet does not retroactively create collectors.
+  std::unique_ptr<obs::Profile> profile;
+  if (obs::profiling_enabled()) {
+    profile = std::make_unique<obs::Profile>();
+    sim->set_profile(profile.get());
+  }
+  driver->install(std::move(sim), build_supervision(spec, checkpoint_path),
+                  std::move(profile));
   return driver;
 }
 

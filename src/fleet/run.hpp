@@ -1,5 +1,5 @@
 // One tenant of the fleet scheduler: its spec, lifecycle phase, public
-// status record, and the type-erased engine driver the scheduler advances.
+// status record, and the supervised engine driver the scheduler advances.
 //
 // A RunSpec is a complete, self-contained recipe — synthetic system, engine
 // choice (host md::Simulation or modeled runtime::MachineSimulation),
@@ -16,9 +16,13 @@
 #include <memory>
 #include <string>
 
-#include "md/state.hpp"
+#include <optional>
+
+#include "ff/forcefield.hpp"
+#include "md/simulation.hpp"
 #include "obs/profile.hpp"
 #include "resilience/supervisor.hpp"
+#include "topo/builders.hpp"
 #include "util/serialize.hpp"
 #include "util/task_graph.hpp"
 
@@ -148,32 +152,64 @@ struct RunStatus {
   double profile_net_total_s = 0.0;
 };
 
-/// Type-erased engine under supervision.  One Driver owns the whole
-/// materialized stack for a run — SystemSpec, ForceField, engine,
-/// Supervisor — so destroying it releases every byte the run held.
+/// One run's engine under supervision.  A Driver owns the whole
+/// materialized stack — SystemSpec, ForceField, engine, Supervisor — so
+/// destroying it releases every byte the run held.  materialize() builds
+/// it: construct over the system, build the engine on field(), install().
 class Driver {
  public:
-  virtual ~Driver() = default;
+  Driver(SystemSpec system, const ff::NonbondedModel& model)
+      : system_(std::move(system)), field_(system_.topology, model) {}
+  // The field, scrubber and engine hold addresses of earlier members.
+  Driver(const Driver&) = delete;
+  Driver& operator=(const Driver&) = delete;
+
+  [[nodiscard]] ForceField& field() { return field_; }
+  [[nodiscard]] const SystemSpec& system() const { return system_; }
+
+  /// Puts `sim` under a Supervisor; with auditing on, also attaches a
+  /// scrubber over the force field and topology.  `profile` is the
+  /// engine's private attribution collector, if it was given one.
+  void install(std::unique_ptr<md::Simulation> sim,
+               resilience::SupervisorConfig supervision,
+               std::unique_ptr<obs::Profile> profile);
 
   /// Advances up to `steps` under supervision; the report says what
   /// actually happened (report.completed == false means escalation).
-  virtual resilience::RecoveryReport advance(size_t steps) = 0;
+  resilience::RecoveryReport advance(size_t steps) {
+    return supervisor_->run(steps);
+  }
 
-  [[nodiscard]] virtual const State& state() const = 0;
-  [[nodiscard]] virtual size_t atom_count() const = 0;
-  [[nodiscard]] virtual double potential_energy() const = 0;
-  [[nodiscard]] virtual double temperature() const = 0;
+  [[nodiscard]] const State& state() const { return sim_->state(); }
+  [[nodiscard]] size_t atom_count() const {
+    return system_.topology.atom_count();
+  }
+  [[nodiscard]] double potential_energy() const {
+    return sim_->potential_energy();
+  }
+  [[nodiscard]] double temperature() const { return sim_->temperature(); }
   /// Bytes resident in the supervisor's snapshot ring right now.
-  [[nodiscard]] virtual size_t snapshot_bytes() const = 0;
+  [[nodiscard]] size_t snapshot_bytes() const {
+    return supervisor_->snapshot_bytes();
+  }
   /// The engine as a checkpoint section source/sink (eviction/rehydration).
-  [[nodiscard]] virtual util::Checkpointable& checkpointable() = 0;
+  [[nodiscard]] util::Checkpointable& checkpointable() { return *sim_; }
   /// This run's private attribution collector, or nullptr when the engine
   /// has none (host engine, or profiling disabled at materialization).
   /// The scheduler folds it into obs::Profile::global() before the driver
   /// is destroyed, so fleet-wide attribution survives eviction.
-  [[nodiscard]] virtual const obs::Profile* profile() const {
-    return nullptr;
-  }
+  [[nodiscard]] const obs::Profile* profile() const { return profile_.get(); }
+
+ private:
+  SystemSpec system_;
+  ForceField field_;
+  /// Declared before sim_ so the sim's profile pointer never dangles.
+  std::unique_ptr<obs::Profile> profile_;
+  /// Declared before supervisor_: the supervisor's auditor holds a
+  /// pointer to the scrubber for the supervisor's whole lifetime.
+  resilience::Scrubber scrubber_;
+  std::unique_ptr<md::Simulation> sim_;
+  std::optional<resilience::Supervisor> supervisor_;
 };
 
 /// Builds the full engine stack for a spec.  `shared_runtime` (may be

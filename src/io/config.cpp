@@ -37,15 +37,18 @@ RunConfig RunConfig::from_string(const std::string& text) {
     line = trim(line);
     if (line.empty()) continue;
     auto eq = line.find('=');
-    ANTMD_REQUIRE(eq != std::string::npos,
-                  "config line " + std::to_string(lineno) +
-                      " is not 'key = value': " + line);
+    if (eq == std::string::npos) {
+      throw ConfigError("config line " + std::to_string(lineno) +
+                        " is not 'key = value': " + line);
+    }
     std::string key = trim(line.substr(0, eq));
     std::string value = trim(line.substr(eq + 1));
-    ANTMD_REQUIRE(!key.empty(), "empty key on config line " +
-                                    std::to_string(lineno));
-    ANTMD_REQUIRE(!cfg.entries_.count(key),
-                  "duplicate config key: " + key);
+    if (key.empty()) {
+      throw ConfigError("empty key on config line " + std::to_string(lineno));
+    }
+    if (cfg.entries_.count(key)) {
+      throw ConfigError("duplicate config key: " + key);
+    }
     cfg.entries_[key] = value;
   }
   return cfg;
@@ -101,7 +104,9 @@ bool RunConfig::get_bool(const std::string& key, bool fallback) const {
 
 std::string RunConfig::require_string(const std::string& key) const {
   auto it = entries_.find(key);
-  ANTMD_REQUIRE(it != entries_.end(), "missing required config key: " + key);
+  if (it == entries_.end()) {
+    throw ConfigError("missing required config key: " + key);
+  }
   return it->second;
 }
 

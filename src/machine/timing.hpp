@@ -80,11 +80,9 @@ struct StepBreakdown {
   /// down-marked links, and node-hang stalls.  Zero on a healthy machine.
   /// Filled in by the machine force provider after step_time().
   double reliability = 0.0;
-  /// Wall-clock seconds the SDC audit layer spent on this step (digests,
-  /// scrubbing, shadow re-execution).  Informational like pair_masked: not
-  /// added to total, so auditing never inflates the modeled physics time
-  /// or trips the supervisor's per-step watchdog.  Filled in by the
-  /// resilience::Auditor after the step completes.
+  /// Always zero.  Audit walltime is reported by the resilience.audit.
+  /// time_ns counter; the field stays because MachineSimulation
+  /// checkpoints serialize this struct, and their layout must not move.
   double audit = 0.0;
   double total = 0.0;
 

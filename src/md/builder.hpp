@@ -16,14 +16,9 @@
 #include <utility>
 #include <vector>
 
-#include "md/engine_api.hpp"
 #include "md/simulation.hpp"
 
 namespace antmd::md {
-
-// What build() hands back is a full engine: anything written against the
-// EngineApi concept (Supervisor, observers, generic drivers) accepts it.
-static_assert(EngineApi<Simulation>);
 
 class SimulationBuilder {
  public:

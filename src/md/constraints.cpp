@@ -92,8 +92,10 @@ ConstraintStats ConstraintSolver::apply_shake(std::span<const Vec3> before,
       }
       ++stats.iterations;
       if (worst < tolerance_) break;
-      ANTMD_REQUIRE(iter + 1 < max_iterations_,
-                    "SHAKE failed to converge — system is likely unstable");
+      if (iter + 1 >= max_iterations_) {
+        throw NumericalError(
+            "SHAKE failed to converge — system is likely unstable");
+      }
     }
   }
   stats.max_violation = max_violation(positions, box);
@@ -181,8 +183,9 @@ ConstraintStats ConstraintSolver::apply_mshake(std::span<const Vec3> before,
       }
       ++stats.iterations;
       if (worst < tolerance_) break;
-      ANTMD_REQUIRE(iter + 1 < max_iterations_,
-                    "M-SHAKE failed to converge");
+      if (iter + 1 >= max_iterations_) {
+        throw NumericalError("M-SHAKE failed to converge");
+      }
 
       // Jacobian A_{cd} = dg_c/dλ_d with the update
       // pos_i -= λ_d s_d / m_i, pos_j += λ_d s_d / m_j for constraint d.
@@ -255,8 +258,9 @@ void ConstraintSolver::apply_velocities(std::span<const Vec3> positions,
         velocities[c.j] += k * inv_mj * d;
       }
       if (worst < tolerance_) break;
-      ANTMD_REQUIRE(iter + 1 < max_iterations_,
-                    "RATTLE velocity stage failed to converge");
+      if (iter + 1 >= max_iterations_) {
+        throw NumericalError("RATTLE velocity stage failed to converge");
+      }
     }
   }
 }

@@ -5,7 +5,6 @@
 
 #include "ff/nonbonded_simd.hpp"
 #include "math/units.hpp"
-#include "md/engine_api.hpp"
 #include "md/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,10 +12,6 @@
 #include "util/fault.hpp"
 
 namespace antmd::md {
-
-// The reference engine must itself honor the contract generic layers
-// (Supervisor, observer plumbing) constrain on.
-static_assert(EngineApi<Simulation>);
 
 namespace {
 

@@ -120,7 +120,8 @@ class Simulation : public util::Checkpointable {
   [[nodiscard]] double timestep_fs() const { return config_.dt_fs; }
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
 
-  /// Retargets the outer timestep mid-run (HealthGuard degradation path).
+  /// Retargets the outer timestep mid-run (the Supervisor's dt reduction
+  /// after a numerical rollback).
   void set_timestep_fs(double dt_fs);
 
   // --- checkpoint / restart ---------------------------------------------------

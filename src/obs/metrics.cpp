@@ -343,11 +343,8 @@ void register_standard_metrics(MetricsRegistry& registry) {
   registry.gauge("sampling.fep.windows_done");
   // resilience + fault injection.
   for (const char* name :
-       {"resilience.health.check.count", "resilience.health.violation.count",
-        "resilience.health.rollback.count",
-        "resilience.health.snapshot.count", "util.fault.io_write_fail.count",
-        "util.fault.io_short_write.count", "util.fault.nan_force.count",
-        "util.fault.node_fail.count"}) {
+       {"util.fault.io_write_fail.count", "util.fault.io_short_write.count",
+        "util.fault.nan_force.count", "util.fault.node_fail.count"}) {
     registry.counter(name);
   }
   registry.gauge("resilience.supervisor.snapshot_bytes");

@@ -308,18 +308,11 @@ MachineSimulation::MachineSimulation(ForceField& ff,
 void MachineSimulation::save_checkpoint(util::BinaryWriter& out) const {
   save_physics_checkpoint(out);
   // Modeled-performance accumulators, so a resumed run reports the same
-  // totals as an uninterrupted one.  The audit bucket is excluded: it holds
-  // *wall* time (nondeterministic), and the SDC auditor digests this exact
-  // blob — any nondeterministic byte here would make every shadow replay
-  // look like corruption.
+  // totals as an uninterrupted one.
   out.write_f64(machine_.modeled_time_s_);
   out.write_u64(machine_.steps_timed_);
-  machine::StepBreakdown acc = machine_.accumulated_;
-  machine::StepBreakdown last = machine_.last_breakdown_;
-  acc.audit = 0.0;
-  last.audit = 0.0;
-  out.write_pod(acc);
-  out.write_pod(last);
+  out.write_pod(machine_.accumulated_);
+  out.write_pod(machine_.last_breakdown_);
   // Transport reliability state: down-marked links persist (a dead wire
   // stays dead across a restart) and the cumulative protocol counters keep
   // the resumed run's reliability picture identical to an uninterrupted one.
@@ -334,14 +327,8 @@ void MachineSimulation::restore_checkpoint(util::BinaryReader& in) {
   read_physics(in, /*barostat_block=*/false);
   machine_.modeled_time_s_ = in.read_f64();
   machine_.steps_timed_ = in.read_u64();
-  // Audit wall-time survives the restore: the work was really done even if
-  // the trajectory it verified (or the replay that consumed it) is gone.
-  const double audit_acc = machine_.accumulated_.audit;
-  const double audit_last = machine_.last_breakdown_.audit;
   machine_.accumulated_ = in.read_pod<machine::StepBreakdown>();
   machine_.last_breakdown_ = in.read_pod<machine::StepBreakdown>();
-  machine_.accumulated_.audit = audit_acc;
-  machine_.last_breakdown_.audit = audit_last;
   std::vector<char> down = in.read_pod_vector<char>();
   auto tstats = in.read_pod<machine::TransportStats>();
   machine_.transport_.restore_state(std::move(down), tstats);

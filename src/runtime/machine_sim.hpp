@@ -99,8 +99,8 @@ class MachineForces final : public md::ForceProvider {
 };
 
 /// md::Simulation driven by MachineForces, plus the machine's API:
-/// modeled-time breakdowns, the transport, node remapping, profile routing
-/// and audit charging.
+/// modeled-time breakdowns, the transport, node remapping and profile
+/// routing.
 class MachineSimulation : public md::Simulation {
  public:
   MachineSimulation(ForceField& ff, machine::MachineConfig machine,
@@ -171,15 +171,6 @@ class MachineSimulation : public md::Simulation {
   /// Marks a tempering/exchange decision in the next step's workload
   /// (cost accounting for sampling methods driven on top of this engine).
   void note_tempering_decision() { ++machine_.pending_tempering_decisions_; }
-
-  /// Charges `seconds` of audit work against the last step's breakdown.
-  /// Like pair_masked the field is informational — it is never added to
-  /// `total`, so audit time cannot masquerade as physics or trip the
-  /// supervisor watchdog.
-  void charge_audit(double seconds) {
-    machine_.last_breakdown_.audit += seconds;
-    machine_.accumulated_.audit += seconds;
-  }
 
   /// Routes attribution-profiler feeds to `profile` instead of
   /// obs::Profile::global() (fleet: one collector per run).  nullptr

@@ -181,23 +181,15 @@ TEST(StateDigest, FlippedVelocityBitNamesTheBlock) {
   EXPECT_EQ(diff.find("positions"), std::string::npos);
 }
 
-TEST(AuditGate, RefcountTracksLiveAuditors) {
-  EXPECT_FALSE(resilience::audit_enabled());
+TEST(AuditGate, IntervalZeroIsNoAuditor) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, host_config());
-  {
-    resilience::AuditConfig cfg;
-    cfg.interval = 4;
-    resilience::Auditor<md::Simulation> auditor(sim, cfg);
-    EXPECT_TRUE(resilience::audit_enabled());
-  }
-  EXPECT_FALSE(resilience::audit_enabled());
 
   // interval = 0 means "no auditor", not "auditor that never fires".
   resilience::AuditConfig off;
   off.interval = 0;
-  EXPECT_THROW(resilience::Auditor<md::Simulation> a(sim, off), ConfigError);
+  EXPECT_THROW(resilience::Auditor a(sim, off), ConfigError);
 }
 
 TEST(FaultInjection, InjectionPauseSuppressesWithoutCountingEvents) {
@@ -258,7 +250,7 @@ TEST(Auditor, StateFlipDetectedAndRecoveredBitIdenticalHost) {
   resilience::SupervisorConfig sc;
   sc.audit.interval = 4;
   sc.audit.shadow_window = 0;  // full-interval replay: full coverage
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(kSteps);
 
   EXPECT_EQ(fault::fired_count(fault::FaultKind::kBitFlipState), 1u);
@@ -316,7 +308,7 @@ TEST(Auditor, StateFlipDetectedAndRecoveredBitIdenticalMachine) {
   resilience::SupervisorConfig sc;
   sc.audit.interval = 5;
   sc.audit.shadow_window = 0;
-  resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(kSteps);
 
   EXPECT_EQ(fault::fired_count(fault::FaultKind::kBitFlipState), 1u);
@@ -354,7 +346,7 @@ TEST(Auditor, TableFlipScrubRepairsAndRollsBack) {
   resilience::SupervisorConfig sc;
   sc.audit.interval = 4;
   sc.audit.shadow_window = 0;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   supervisor.enable_audit(&scrubber);
   resilience::RecoveryReport report = supervisor.run(kSteps);
 
@@ -402,7 +394,7 @@ TEST(Auditor, CheckpointBufferFlipDetectedByStoredCrc) {
   resilience::SupervisorConfig sc;
   sc.audit.interval = 4;
   sc.audit.shadow_window = 0;  // baseline retained across the whole interval
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(kSteps);
 
   EXPECT_EQ(fault::fired_count(fault::FaultKind::kBitFlipCheckpointBuffer),
@@ -439,7 +431,7 @@ TEST(Auditor, CleanRunIsBitIdenticalToUnauditedRun) {
   resilience::SupervisorConfig sc;
   sc.audit.interval = 4;
   sc.audit.shadow_window = 2;  // partial window: the cheap default
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(kSteps);
 
   EXPECT_TRUE(report.completed) << report.final_error;
@@ -450,6 +442,60 @@ TEST(Auditor, CleanRunIsBitIdenticalToUnauditedRun) {
   EXPECT_GE(supervisor.auditor()->stats().shadow_replays, 1u);
   // Every clean audit fed the ring a verified snapshot.
   EXPECT_GE(report.snapshots, 1u + kSteps / 4);
+
+  expect_bit_identical(reference, sim);
+}
+
+// A flipped exponent bit in one water's position makes the constraint
+// solver diverge at the next step, before any audit point.  Non-convergence
+// is a NumericalError, so the supervisor rolls back to the last verified
+// snapshot like any numerical failure, and the re-run finishes
+// bit-identical to the fault-free run.
+TEST(Auditor, ConstraintDivergenceRollsBackBitIdentical) {
+  auto spec = build_water_box(216, WaterModel::kRigid3Site, 5);
+  ff::NonbondedModel model;
+  model.cutoff = 6.0;
+  model.electrostatics = ff::Electrostatics::kEwaldReal;
+  model.ewald_beta = 0.4;
+  md::SimulationConfig cfg = host_config(300.0);
+  cfg.dt_fs = 2.0;
+  constexpr size_t kSteps = 24;
+
+  ForceField field_ref(spec.topology, model);
+  md::Simulation reference(field_ref, spec.positions, spec.box, cfg);
+  reference.run(kSteps);
+
+  ForceField field(spec.topology, model);
+  md::Simulation sim(field, spec.positions, spec.box, cfg);
+
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::kBitFlipState;
+  plan.fire_after = 10;  // lands after step 11
+  plan.count = 1;
+  plan.payload = 254;  // an exponent bit of atom 0's x coordinate
+  fault::ScopedFault f(plan);
+
+  resilience::SupervisorConfig sc;
+  sc.audit.interval = 8;
+  sc.audit.shadow_window = 0;
+  resilience::Supervisor supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(kSteps);
+
+  EXPECT_EQ(fault::fired_count(fault::FaultKind::kBitFlipState), 1u);
+  EXPECT_TRUE(report.completed) << report.final_error;
+  EXPECT_EQ(report.rollbacks, 1u);
+  EXPECT_EQ(report.corruptions, 0u);
+  bool found = false;
+  for (const auto& e : report.events) {
+    if (e.kind == resilience::FailureKind::kNumerical) {
+      found = true;
+      EXPECT_NE(e.detail.find("failed to converge"), std::string::npos)
+          << e.detail;
+      EXPECT_NE(e.detail.find("rolled back to step 8"), std::string::npos)
+          << e.detail;
+    }
+  }
+  EXPECT_TRUE(found);
 
   expect_bit_identical(reference, sim);
 }
@@ -472,7 +518,7 @@ TEST(Auditor, CorruptionBudgetExhaustionEscalatesTyped) {
   sc.audit.interval = 4;
   sc.audit.shadow_window = 0;
   sc.audit.max_recoveries = 2;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(64);
 
   EXPECT_FALSE(report.completed);

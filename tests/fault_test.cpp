@@ -1,7 +1,7 @@
 // Fault-injection and recovery tests: torn/corrupt checkpoints are rejected
-// with IoError, injected force blow-ups trip the HealthGuard (throw or
-// rollback-and-retry), and dead torus nodes are remapped without changing
-// the trajectory by a single bit.
+// with IoError, injected force blow-ups trip the Supervisor's health checks
+// (throw, or rollback-and-retry at a reduced timestep), and dead torus nodes
+// are remapped without changing the trajectory by a single bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "io/checkpoint.hpp"
 #include "machine/config.hpp"
 #include "md/simulation.hpp"
-#include "resilience/health.hpp"
 #include "resilience/supervisor.hpp"
 #include "runtime/machine_sim.hpp"
 #include "topo/builders.hpp"
@@ -113,7 +112,7 @@ TEST(FaultInjection, ShortWriteIsCaughtByCrcOnLoad) {
   std::remove(path.c_str());
 }
 
-TEST(HealthGuard, PoisonedForceRollsBackAndCompletes) {
+TEST(HealthPolicy, PoisonedForceRollsBackAtReducedDtAndCompletes) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
@@ -125,27 +124,39 @@ TEST(HealthGuard, PoisonedForceRollsBackAndCompletes) {
   plan.payload = 7;  // atom to poison
   fault::ScopedFault f(plan);
 
-  resilience::HealthConfig hc;
-  hc.checkpoint_interval = 10;
-  hc.policy = resilience::HealthPolicy::kRollback;
-  hc.max_retries = 3;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  resilience::HealthReport report = guard.run(60);
+  resilience::SupervisorConfig sc;
+  sc.snapshot_interval = 10;
+  sc.max_retries = 3;
+  sc.health.policy = resilience::HealthPolicy::kRollback;
+  sc.health.dt_scale_on_retry = 0.5;
+  for (double bad : {0.0, 1.5}) {
+    resilience::SupervisorConfig rejected = sc;
+    rejected.health.dt_scale_on_retry = bad;
+    EXPECT_THROW(resilience::Supervisor(sim, rejected), ConfigError) << bad;
+  }
+  resilience::Supervisor supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(60);
 
   // The poison fired, was detected, and the run still delivered all steps.
   EXPECT_EQ(fault::fired_count(fault::FaultKind::kNanForce), 1u);
-  EXPECT_GE(report.violations, 1u);
+  EXPECT_GE(report.faults_detected, 1u);
   EXPECT_GE(report.rollbacks, 1u);
-  EXPECT_NE(report.last_violation.find("force"), std::string::npos);
+  ASSERT_FALSE(report.events.empty());
+  EXPECT_EQ(report.events.front().kind, resilience::FailureKind::kNumerical);
+  EXPECT_EQ(report.events.front().action,
+            resilience::RecoveryAction::kRollback);
+  EXPECT_NE(report.events.front().detail.find("force"), std::string::npos);
+  EXPECT_TRUE(report.completed) << report.final_error;
   EXPECT_EQ(sim.state().step, 60u);
   // Rollback degraded the timestep.
-  EXPECT_LT(report.final_dt_fs, 4.0);
+  EXPECT_LT(sim.timestep_fs(), 4.0);
   // The final state is healthy again.
-  EXPECT_TRUE(
-      resilience::find_violation(sim, hc, 0.0, sim.state().step).empty());
+  EXPECT_TRUE(resilience::find_violation(sim, sc.health, 0.0,
+                                         sim.state().step)
+                  .empty());
 }
 
-TEST(HealthGuard, ThrowPolicyEscalatesImmediately) {
+TEST(HealthPolicy, ThrowPolicyEscalatesImmediately) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
@@ -156,53 +167,12 @@ TEST(HealthGuard, ThrowPolicyEscalatesImmediately) {
   plan.count = 1;
   fault::ScopedFault f(plan);
 
-  resilience::HealthConfig hc;
-  hc.policy = resilience::HealthPolicy::kThrow;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  EXPECT_THROW(guard.run(60), NumericalError);
-  EXPECT_GE(guard.report().violations, 1u);
-}
-
-TEST(HealthGuard, RetryBudgetExhaustionEscalates) {
-  auto spec = build_lj_fluid(125, 0.021, 3);
-  ForceField field(spec.topology, lj_model());
-  md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
-
-  // Fires on every force evaluation once eligible: rollback can never get
-  // past the poisoned step, so the retry budget runs out.
-  fault::FaultPlan plan;
-  plan.kind = fault::FaultKind::kNanForce;
-  plan.fire_after = 5;
-  plan.count = -1;
-  fault::ScopedFault f(plan);
-
-  resilience::HealthConfig hc;
-  hc.policy = resilience::HealthPolicy::kRollback;
-  hc.max_retries = 2;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  EXPECT_THROW(guard.run(60), NumericalError);
-  EXPECT_EQ(guard.report().rollbacks, 2u);
-}
-
-TEST(HealthGuard, DiskMirrorIsLoadableV2Checkpoint) {
-  auto spec = build_lj_fluid(125, 0.021, 3);
-  auto cfg = langevin_config(120);
-  ForceField field(spec.topology, lj_model());
-  md::Simulation sim(field, spec.positions, spec.box, cfg);
-
-  std::string path = temp_path("guard_mirror.ckpt");
-  resilience::HealthConfig hc;
-  hc.checkpoint_interval = 10;
-  hc.checkpoint_path = path;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  guard.run(25);
-  EXPECT_EQ(guard.last_good_step(), 20u);
-
-  ForceField field2(spec.topology, lj_model());
-  md::Simulation resumed(field2, spec.positions, spec.box, cfg);
-  io::load_checkpoint_v2(path, {{"sim", &resumed}});
-  EXPECT_EQ(resumed.state().step, 20u);
-  std::remove(path.c_str());
+  resilience::SupervisorConfig sc;
+  sc.health.policy = resilience::HealthPolicy::kThrow;
+  resilience::Supervisor supervisor(sim, sc);
+  EXPECT_THROW(supervisor.run(60), NumericalError);
+  EXPECT_GE(supervisor.report().faults_detected, 1u);
+  EXPECT_EQ(supervisor.report().rollbacks, 0u);
 }
 
 TEST(NodeFailure, RemapKeepsTrajectoryBitExact) {
@@ -315,7 +285,7 @@ TEST(Supervisor, FaultMatrixKeepsTrajectoryBitExact) {
     sc.max_retries = 3;
     sc.snapshot_interval = 10;
     sc.watchdog_ms = 1.0;  // a 5 ms modeled hang trips this; normal steps not
-    resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+    resilience::Supervisor supervisor(sim, sc);
     resilience::RecoveryReport report = supervisor.run(kSteps);
 
     EXPECT_EQ(fault::fired_count(c.kind), 1u);
@@ -352,7 +322,7 @@ TEST(Supervisor, ExhaustedRetryBudgetEscalatesWithAccurateReport) {
   sc.max_retries = 2;
   sc.snapshot_interval = 10;
   sc.report_path = report_path;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(60);
 
   EXPECT_FALSE(report.completed);
@@ -429,7 +399,7 @@ TEST(Supervisor, WorkerLaneFaultRecoveryIsBitIdentical) {
 
   resilience::SupervisorConfig sc;
   sc.snapshot_interval = 10;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(kSteps);
 
   EXPECT_EQ(fault::fired_count(fault::FaultKind::kNanForce), 1u);
@@ -545,7 +515,7 @@ TEST(FaultSchedule, ResumeReArmsRemainingScheduleAtSameAbsoluteSteps) {
   resilience::RecoveryReport ref_report;
   {
     fault::ScopedFault f(make_plan(kFireAfter));
-    resilience::Supervisor<md::Simulation> sup(reference, sc);
+    resilience::Supervisor sup(reference, sc);
     ref_report = sup.run(kTotal);
     EXPECT_TRUE(ref_report.completed) << ref_report.final_error;
     EXPECT_GE(ref_report.rollbacks, 1u);
@@ -575,7 +545,7 @@ TEST(FaultSchedule, ResumeReArmsRemainingScheduleAtSameAbsoluteSteps) {
   ASSERT_EQ(resumed.state().step, kSplit);
   {
     fault::ScopedFault f(make_plan(kFireAfter - consumed));
-    resilience::Supervisor<md::Simulation> sup(resumed, sc);
+    resilience::Supervisor sup(resumed, sc);
     resilience::RecoveryReport report = sup.run(kTotal - kSplit);
     EXPECT_TRUE(report.completed) << report.final_error;
     EXPECT_EQ(fault::fired_count(fault::FaultKind::kNanForce), 1u);

@@ -126,13 +126,12 @@ TEST(Metrics, StandardSetCoversEverySubsystem) {
   auto snap = reg.snapshot();
   for (const char* name :
        {"md.step.count", "runtime.redistribute.count",
-        "sampling.exchange.attempt.count", "resilience.health.check.count",
-        "util.fault.node_fail.count"}) {
+        "sampling.exchange.attempt.count", "util.fault.node_fail.count"}) {
     EXPECT_TRUE(snap.counters.count(name)) << name;
   }
   for (const char* name :
        {"machine.model.ns_per_day", "machine.torus.mean_hops",
-        "runtime.alive_nodes"}) {
+        "runtime.alive_nodes", "resilience.supervisor.snapshot_bytes"}) {
     EXPECT_TRUE(snap.gauges.count(name)) << name;
   }
 }

@@ -102,7 +102,7 @@ TEST(Soak, RandomFaultSchedulesRecoverBitExactOrEscalateCleanly) {
     sc.max_retries = 3;
     sc.snapshot_interval = 8;
     sc.watchdog_ms = 1.0;
-    resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+    resilience::Supervisor supervisor(sim, sc);
     resilience::RecoveryReport report = supervisor.run(kSteps);
 
     ASSERT_TRUE(report.completed) << report.final_error;
@@ -144,7 +144,7 @@ TEST(Soak, UnrecoverableSchedulesEscalateWithReport) {
     resilience::SupervisorConfig sc;
     sc.max_retries = 1 + static_cast<int>(splitmix64(stream) % 3);
     sc.snapshot_interval = 8;
-    resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+    resilience::Supervisor supervisor(sim, sc);
     resilience::RecoveryReport report = supervisor.run(kSteps);
 
     EXPECT_FALSE(report.completed);

@@ -121,7 +121,7 @@ TEST(Supervisor, ByteBoundedRingStillRecoversAndPublishesGauge) {
   sc.snapshot_interval = 5;
   sc.snapshot_ring_depth = 8;
   sc.snapshot_ring_bytes = one_state + one_state / 2;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(30);
 
   EXPECT_TRUE(report.completed) << report.final_error;
@@ -141,13 +141,13 @@ TEST(Supervisor, RejectsBadConfig) {
 
   resilience::SupervisorConfig bad;
   bad.max_retries = 0;
-  EXPECT_THROW(resilience::Supervisor<md::Simulation>(sim, bad), ConfigError);
+  EXPECT_THROW(resilience::Supervisor(sim, bad), ConfigError);
   bad = {};
   bad.snapshot_interval = 0;
-  EXPECT_THROW(resilience::Supervisor<md::Simulation>(sim, bad), ConfigError);
+  EXPECT_THROW(resilience::Supervisor(sim, bad), ConfigError);
   bad = {};
   bad.backoff_factor = 0.5;
-  EXPECT_THROW(resilience::Supervisor<md::Simulation>(sim, bad), ConfigError);
+  EXPECT_THROW(resilience::Supervisor(sim, bad), ConfigError);
 }
 
 TEST(Supervisor, CleanRunCompletesWithEmptyEventLog) {
@@ -157,7 +157,7 @@ TEST(Supervisor, CleanRunCompletesWithEmptyEventLog) {
 
   resilience::SupervisorConfig sc;
   sc.snapshot_interval = 10;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(25);
 
   EXPECT_TRUE(report.completed);
@@ -187,7 +187,7 @@ TEST(Supervisor, TransientIoErrorInStepRollsBackAndCompletes) {
 
   resilience::SupervisorConfig sc;
   sc.snapshot_interval = 5;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(20);
 
   EXPECT_TRUE(report.completed) << report.final_error;
@@ -218,7 +218,7 @@ TEST(Supervisor, PersistentMirrorFailureDegradesInsteadOfAborting) {
   sc.max_retries = 2;
   sc.snapshot_interval = 10;
   sc.checkpoint_path = path;
-  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(25);
 
   EXPECT_TRUE(report.completed) << report.final_error;
@@ -251,7 +251,7 @@ TEST(Supervisor, WatchdogRemapsHungNodeAndRunContinues) {
   resilience::SupervisorConfig sc;
   sc.watchdog_ms = 1.0;  // modeled steps are ~µs; the 5 ms hang trips this
   sc.snapshot_interval = 10;
-  resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   resilience::RecoveryReport report = supervisor.run(20);
 
   EXPECT_TRUE(report.completed) << report.final_error;
@@ -279,7 +279,7 @@ TEST(Supervisor, NodeDropoutIsObservedAsDegradeEvent) {
 
   resilience::SupervisorConfig sc;
   sc.snapshot_interval = 10;
-  resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+  resilience::Supervisor supervisor(sim, sc);
   supervisor.run(5);
   // A node dies mid-run; the engine remaps it silently and bit-exactly —
   // the supervisor's job is to make that visible in the report.
@@ -328,7 +328,7 @@ TEST(Supervisor, TransportRetryBudgetExhaustionDownMarksAndStaysBitExact) {
     resilience::SupervisorConfig sc;
     sc.snapshot_interval = 10;
     sc.checkpoint_path = path;
-    resilience::Supervisor<runtime::MachineSimulation> supervisor(sim, sc);
+    resilience::Supervisor supervisor(sim, sc);
     report = supervisor.run(kSteps);
   }
 
@@ -397,7 +397,7 @@ TEST(Supervisor, RollbackEventRecordsTheFailingStep) {
 
   resilience::SupervisorConfig sc;
   sc.snapshot_interval = 10;
-  resilience::Supervisor<md::Simulation> sup(sim, sc);
+  resilience::Supervisor sup(sim, sc);
   const resilience::RecoveryReport report = sup.run(60);
   ASSERT_TRUE(report.completed) << report.final_error;
   ASSERT_EQ(report.rollbacks, 1u);
