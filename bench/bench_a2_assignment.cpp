@@ -37,8 +37,7 @@ Imbalance measure(const SystemSpec& spec, const ff::NonbondedModel& model,
   engine.redistribute(positions, spec.box, list.pairs());
   ForceResult out(spec.topology.atom_count());
   ForceResult kcache(spec.topology.atom_count());
-  auto work = engine.evaluate(positions, spec.box, 0.0, list.pairs(), false,
-                              out, kcache);
+  auto work = engine.evaluate(positions, spec.box, 0.0, false, out, kcache);
   Imbalance im;
   double total = 0;
   for (const auto& n : work.nodes) {

@@ -10,7 +10,6 @@
 
 #include "bench_common.hpp"
 #include "ff/forcefield.hpp"
-#include "ff/nonbonded_simd.hpp"
 #include "md/builder.hpp"
 #include "obs/profile.hpp"
 #include "runtime/machine_sim.hpp"
@@ -209,65 +208,6 @@ void network_attribution(MetricList& report) {
   std::fputs(table.render().c_str(), stdout);
 }
 
-/// F1e: end-to-end single-thread MD wall time under each runnable cluster
-/// kernel ISA.  Every variant produces the same trajectory bit for bit
-/// (enforced by simd_kernel_test and check_kernel_equivalence.sh), so this
-/// measures dispatch payoff only.  Skipped when ANTMD_FORCE_ISA pins the
-/// process to one variant.
-void simd_isa_scaling(MetricList& report) {
-  bench::print_header(
-      "F1e: cluster-kernel ISA sweep",
-      "Wall time for 40 steps of water-360 (cluster kernel, reaction-field "
-      "cutoff, 1 thread) under each runnable nonbonded ISA; trajectories "
-      "are bit-identical across rows");
-
-  const ff::KernelIsa dispatched = ff::active_kernel_isa();
-  report.emplace_back("simd_dispatch_isa", static_cast<double>(dispatched));
-  ff::set_kernel_isa(ff::KernelIsa::kScalar);
-  if (ff::active_kernel_isa() != ff::KernelIsa::kScalar) {
-    std::printf("(ANTMD_FORCE_ISA pins the ISA; skipping the sweep)\n");
-    return;
-  }
-
-  auto spec = build_water_box(360, WaterModel::kRigid3Site);
-  ff::NonbondedModel model;
-  model.cutoff = 6.0;
-  model.electrostatics = ff::Electrostatics::kReactionCutoff;
-
-  Table table({"isa", "wall (s)", "speedup vs scalar"});
-  double t_scalar = 0.0;
-  double best = 1.0;
-  for (ff::KernelIsa isa :
-       {ff::KernelIsa::kScalar, ff::KernelIsa::kAvx2,
-        ff::KernelIsa::kAvx512}) {
-    if (!ff::kernel_isa_supported(isa)) continue;
-    ff::set_kernel_isa(isa);
-    ForceField field(spec.topology, model);
-    md::Simulation sim = md::SimulationBuilder()
-                             .dt_fs(2.0)
-                             .neighbor_skin(1.0)
-                             .langevin(300.0, 5.0)
-                             .threads(1)
-                             .build(field, spec.positions, spec.box);
-    auto t_start = std::chrono::steady_clock::now();
-    sim.run(40);
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t_start)
-                            .count();
-    if (isa == ff::KernelIsa::kScalar) t_scalar = wall;
-    const double speedup = t_scalar > 0 ? t_scalar / wall : 1.0;
-    if (isa != ff::KernelIsa::kScalar && speedup > best) best = speedup;
-    table.add_row({ff::to_string(isa), Table::num(wall, 3),
-                   Table::num(speedup, 2)});
-    const std::string kp = std::string("simd_") + ff::to_string(isa);
-    report.emplace_back(kp + "_wall_s", wall);
-    report.emplace_back(kp + "_speedup_vs_scalar", speedup);
-  }
-  report.emplace_back("simd_best_speedup_vs_scalar", best);
-  ff::set_kernel_isa(dispatched);
-  std::fputs(table.render().c_str(), stdout);
-}
-
 }  // namespace
 
 int main() {
@@ -322,7 +262,6 @@ int main() {
   wall_clock_scaling(report);
   host_md_scaling(report);
   network_attribution(report);
-  simd_isa_scaling(report);
   bench::write_json_report("f1_scaling", 8, report);
   return 0;
 }

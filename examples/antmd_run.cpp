@@ -570,14 +570,9 @@ int main(int argc, char** argv) {
       std::printf("fault armed: %s\n", fault_spec.c_str());
     }
 
-    // Cluster-kernel ISA selection: "auto" keeps the cpuid-probed widest
-    // variant (or whatever ANTMD_FORCE_ISA pinned for the process); naming
-    // an ISA fails fast if this CPU/build lacks it.  Every variant is
-    // bit-identical, so this only ever changes speed, never a trajectory.
-    std::string simd = cfg.get_string("nonbonded_simd", "auto");
-    if (simd != "auto") {
-      ff::set_kernel_isa(ff::parse_kernel_isa(simd));
-    }
+    // The cluster kernel's ISA: the cpuid-probed widest variant, or
+    // whatever ANTMD_FORCE_ISA pinned for the process.  Every variant is
+    // bit-identical, so it only ever changes speed, never a trajectory.
     std::printf("nonbonded simd: %s\n",
                 ff::to_string(ff::active_kernel_isa()));
 

@@ -8,8 +8,13 @@
 #   3. the cross-ISA matrix: every compiled-and-runnable SIMD variant
 #      (ANTMD_FORCE_ISA = avx2 / avx512) x threads {1, 2, 8} must
 #      reproduce the forced-scalar trajectory byte for byte;
-#   4. the golden physics fixtures (golden_test) must pass under every
-#      forced ISA.
+#   4. the golden physics fixtures (golden_test) and property_test's
+#      kernel sweep (NVE drift through the whole step graph) must pass
+#      under every forced ISA;
+#   5. cross-ISA resume (scripts/check_cross_isa_resume.sh, also a tier-1
+#      ctest): a checkpoint written under forced scalar resumes under each
+#      SIMD variant and ends byte-identical to that variant's
+#      uninterrupted run (the checkpoint carries no kernel state).
 #
 # Variants the build or CPU lacks are skipped with a note, never failed:
 # the dispatcher itself refuses them, which is the behaviour under test.
@@ -21,13 +26,14 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 RUN="${BUILD_DIR}/examples/antmd_run"
 GOLDEN="${BUILD_DIR}/tests/golden_test"
+PROPERTY="${BUILD_DIR}/tests/property_test"
 if [ ! -x "$RUN" ]; then
   echo "building antmd_run in ${BUILD_DIR}..."
   cmake -B "${BUILD_DIR}" -S . > /dev/null
   cmake --build "${BUILD_DIR}" --target antmd_run -j > /dev/null
 fi
 
-WORK="$(mktemp -d /tmp/antmd_kernel_eq.XXXXXX)"
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/antmd_kernel_eq.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
 # name | base config body (kernel/xyz keys appended per run)
@@ -179,6 +185,29 @@ if [ -x "$GOLDEN" ]; then
 else
   echo "SKIP golden_test: ${GOLDEN} not built"
 fi
+if [ -x "$PROPERTY" ]; then
+  for isa in scalar ${SIMD_ISAS[@]+"${SIMD_ISAS[@]}"}; do
+    if ANTMD_FORCE_ISA="$isa" "$PROPERTY" --gtest_filter='*KernelSweep*' \
+         > "${WORK}/property_${isa}.log" 2>&1; then
+      echo "OK  property_test KernelSweep under ANTMD_FORCE_ISA=${isa}"
+    else
+      echo "FAIL property_test KernelSweep under ANTMD_FORCE_ISA=${isa}:"
+      tail -15 "${WORK}/property_${isa}.log"
+      status=1
+    fi
+  done
+else
+  echo "SKIP property_test: ${PROPERTY} not built"
+fi
+
+# Cross-ISA resume: the tier-1 script, on this build's antmd_run.
+resume_rc=0
+ANTMD_RUN_BIN="$RUN" bash scripts/check_cross_isa_resume.sh || resume_rc=$?
+case "$resume_rc" in
+  0) ;;
+  77) echo "SKIP cross-ISA resume: no SIMD variant runs here" ;;
+  *) status=1 ;;
+esac
 
 if [ "$status" -eq 0 ]; then
   echo "kernel equivalence: all checks passed"

@@ -25,6 +25,8 @@
 #   machine_rigid4 water_machine.cfg for 40 steps, water_model = rigid4 (the
 #                machine builds its first neighbor list before it constructs
 #                virtual sites, the host after)
+#   machine_1node water_machine.cfg for 40 steps on nodes = 1 (one node
+#                task beside the k-space stages)
 #
 # Usage: scripts/check_trajectory_identity.sh REV [build-dir]
 #   REV        any commit-ish (e.g. HEAD~1, a tag, a hash)
@@ -165,6 +167,11 @@ EOF
         -e 's/^water_model[[:space:]]*=.*/water_model = rigid4/' \
         examples/configs/water_machine.cfg
       ;;
+    machine_1node)
+      sed -E -e 's/^steps[[:space:]]*=.*/steps = 40/' \
+        -e 's/^nodes[[:space:]]*=.*/nodes = 1/' \
+        examples/configs/water_machine.cfg
+      ;;
     lj_pair|lj_cluster)
       cat <<EOF
 system = ljfluid
@@ -201,7 +208,7 @@ run_case() {  # binary label case threads -> checkpoint path
 status=0
 for name in water512 rigid4 flex_respa bilayer_npt water_mc machine \
             lj_pair lj_cluster host_nan machine_nan machine_pair \
-            machine_rigid4; do
+            machine_rigid4 machine_1node; do
   for threads in 1 4; do
     old="$(run_case "$RUN_OLD" rev "$name" "$threads")" || { status=1; continue; }
     new="$(run_case "$RUN_NEW" tree "$name" "$threads")" || { status=1; continue; }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "math/fixed.hpp"
 #include "math/vec.hpp"
@@ -65,6 +66,35 @@ struct ForceResult {
     energy.merge(o.energy);
     virial += o.virial;
   }
+};
+
+/// Persistent partial sums of one fan-out of force work, reused across
+/// evaluations: the host's cluster-tile chunks and the machine's node
+/// tasks both add into them.  Forces accumulate into lane-private
+/// fixed-point arrays (indexed by util::TaskRuntime::current_lane()) that
+/// stay allocated — and zeroed, via FixedForceArray::drain_into in
+/// reduce() — between evaluations, so the per-call cost is the fold
+/// itself, not an O(lanes × atoms) clear.  Energy and virial partials are
+/// per *slot* (a tile chunk, a machine node), not per lane, because the
+/// double-precision virial's summation grouping must be a function of the
+/// work alone; reduce() merges them in ascending slot order.
+struct PartialSums {
+  std::vector<FixedForceArray> lane_forces;
+  std::vector<EnergyBreakdown> slot_energy;
+  std::vector<Mat3> slot_virial;
+  /// False while an evaluation is in flight; a dirty prepare re-clears the
+  /// lane arrays (only happens after an exception unwound an evaluation).
+  bool clean = true;
+
+  /// Sizes (and when needed clears) the sinks for one evaluation with
+  /// `lanes` worker lanes, `n_atoms` atoms and `slots` slots.  Runs before
+  /// the first task adds into them.
+  void prepare(size_t lanes, size_t n_atoms, size_t slots);
+
+  /// The fixed-order reduction: drains every lane's forces into `out`
+  /// (integer, order-free) and merges slot energy and virial in ascending
+  /// slot order — the same summation grouping as a serial loop over slots.
+  void reduce(ForceResult& out);
 };
 
 }  // namespace antmd

@@ -5,7 +5,10 @@
 // (bonded / real-space pairs / k-space) that both the single-host simulator
 // (md::Simulation) and the machine-mapped runtime call.  The split mirrors
 // the hardware mapping: pair tables → HTIS pipelines, everything else →
-// geometry cores, k-space → spread/FFT/interpolate pipeline.
+// geometry cores, k-space → spread/FFT/interpolate pipeline.  The
+// geometry-core terms are evaluated by one routine, compute_bonded_terms,
+// over the whole system on the host and over one node's share of it on the
+// machine.
 #pragma once
 
 #include <memory>
@@ -25,6 +28,31 @@
 
 namespace antmd {
 
+namespace ff {
+
+/// The terms the geometry cores evaluate — topology bonded terms, 1-4
+/// pairs and the extension terms — as spans over either the whole system
+/// (ForceField::bonded_terms) or one machine node's share of it.
+struct BondedTerms {
+  std::span<const Bond> bonds;
+  std::span<const Angle> angles;
+  std::span<const Dihedral> dihedrals;
+  std::span<const MorseBond> morse_bonds;
+  std::span<const UreyBradley> urey_bradleys;
+  std::span<const Improper> impropers;
+  std::span<const GoContact> go_contacts;
+  std::span<const Pair14> pairs14;
+  std::span<const PositionRestraint> pos_restraints;
+  std::span<const DistanceRestraint> dist_restraints;
+  std::span<const SteeredSpring> springs;
+  std::span<const PairBias> biases;
+  std::span<const DihedralBias> dihedral_biases;
+  /// Atoms the external field (if the force field has one) acts on.
+  std::span<const uint32_t> field_atoms;
+};
+
+}  // namespace ff
+
 class ForceField {
  public:
   /// Builds tables for the topology under the given nonbonded model.
@@ -33,6 +61,9 @@ class ForceField {
              GseParams gse = GseParams{});
 
   // --- generality extensions -------------------------------------------------
+  // Every mutator below bumps generation(): a consumer that copies terms
+  // out of the field (the machine's node partitions) compares it to know
+  // when its copies are stale.
   /// Installs a custom tabulated pair potential for a type pair.
   void set_custom_pair_table(uint32_t type_a, uint32_t type_b,
                              RadialTable table);
@@ -46,7 +77,10 @@ class ForceField {
   size_t add_steered_spring(ff::SteeredSpring s);
   void set_external_field(Vec3 field);
   /// Global Hamiltonian scalings (H-REMD / FEP windows).
-  void set_vdw_scale(double s) { vdw_scale_ = s; }
+  void set_vdw_scale(double s) {
+    vdw_scale_ = s;
+    ++generation_;
+  }
   /// Also refreshes kspace_charges().
   void set_charge_product_scale(double s);
   [[nodiscard]] double vdw_scale() const { return vdw_scale_; }
@@ -56,12 +90,22 @@ class ForceField {
   [[nodiscard]] std::span<const double> kspace_charges() const {
     return kspace_charges_;
   }
+  /// Count of mutations so far (see the note above the mutators).
+  [[nodiscard]] uint64_t generation() const { return generation_; }
 
   // --- evaluation -------------------------------------------------------------
-  /// Bonded terms + restraints + 1-4 pairs + external field.
+  /// Bonded terms + restraints + 1-4 pairs + external field over the whole
+  /// system, through compute_bonded_terms.
   /// `time` is elapsed simulation time (internal units) for steered springs.
   void compute_bonded(std::span<const Vec3> pos, const Box& box, double time,
                       ForceResult& out) const;
+
+  /// Evaluates `terms` with this field's tables, charges and external
+  /// field, kernel by kernel in one fixed order, so the virial of any
+  /// subset sums in the same order on the host and on a machine node.
+  void compute_bonded_terms(const ff::BondedTerms& terms,
+                            std::span<const Vec3> pos, const Box& box,
+                            double time, ForceResult& out) const;
 
   /// Real-space nonbonded terms over an externally built pair list.
   void compute_nonbonded(std::span<const ff::PairEntry> pairs,
@@ -79,12 +123,6 @@ class ForceField {
   /// Reciprocal-space electrostatics (no-op unless the model is kEwaldReal).
   void compute_kspace(std::span<const Vec3> pos, const Box& box,
                       ForceResult& out) const;
-
-  /// All of the above plus virtual-site construction/spreading.
-  /// `pos` is mutable because virtual-site positions are (re)constructed.
-  void compute_all(std::span<Vec3> pos, const Box& box, double time,
-                   std::span<const ff::PairEntry> pairs,
-                   ForceResult& out) const;
 
   /// Rebuilds box-dependent machinery after a box change (barostat).
   void on_box_changed(const Box& box);
@@ -134,6 +172,9 @@ class ForceField {
   }
 
  private:
+  /// The whole system's geometry-core terms.
+  [[nodiscard]] ff::BondedTerms bonded_terms() const;
+
   const Topology* topo_;
   ff::PairTableSet tables_;
   std::unique_ptr<GseSolver> gse_;
@@ -145,8 +186,10 @@ class ForceField {
   std::vector<ff::PairBias> biases_;
   std::vector<ff::DihedralBias> dihedral_biases_;
   std::optional<ff::ExternalField> field_;
+  std::vector<uint32_t> field_atoms_;  ///< every atom, once a field is set
   double vdw_scale_ = 1.0;
   double charge_scale_ = 1.0;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace antmd

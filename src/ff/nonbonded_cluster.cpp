@@ -252,29 +252,13 @@ void compute_cluster_entries(const ClusterPairList& list,
   // ISA dispatch: every SIMD variant is bit-identical to the scalar path,
   // so this only changes speed.  The gather arena gate falls back to
   // scalar when custom tables broke geometry uniformity.
-  if (const KernelIsa isa = active_kernel_isa();
-      isa != KernelIsa::kScalar && tables.simd_arena().valid) {
-    switch (isa) {
-#if defined(ANTMD_HAVE_SIMD_AVX2)
-      case KernelIsa::kAvx2:
-        compute_cluster_entries_avx2(list, entries, tables, box, forces,
-                                     energy, virial, vdw_scale,
-                                     charge_product_scale);
-        return;
-#endif
-#if defined(ANTMD_HAVE_SIMD_AVX512)
-      case KernelIsa::kAvx512:
-        compute_cluster_entries_avx512(list, entries, tables, box, forces,
-                                       energy, virial, vdw_scale,
-                                       charge_product_scale);
-        return;
-#endif
-      default:
-        break;  // active ISA not compiled in: scalar handles it
-    }
-  }
-  compute_cluster_entries_scalar(list, entries, tables, box, forces, energy,
-                                 virial, vdw_scale, charge_product_scale);
+  static const ClusterTileLoop dispatched =
+      cluster_tile_loop(active_kernel_isa());
+  const ClusterTileLoop loop = tables.simd_arena().valid
+                                   ? dispatched
+                                   : &compute_cluster_entries_scalar;
+  loop(list, entries, tables, box, forces, energy, virial, vdw_scale,
+       charge_product_scale);
 }
 
 void compute_cluster_entries_scalar(
@@ -317,44 +301,18 @@ util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list) {
   return util::plan_chunks(list.entries.size(), kMinChunkEntries, kMaxChunks);
 }
 
-void prepare_cluster_scratch(const ClusterPairList& list, size_t lanes,
-                             size_t n_atoms, const util::ChunkPlan& plan) {
-  ClusterEvalScratch& s = list.scratch;
-  if (!s.clean) {
-    for (auto& lane : s.lane_forces) lane.clear();
-  }
-  if (s.lane_forces.size() != lanes) s.lane_forces.resize(lanes);
-  for (auto& lane : s.lane_forces) {
-    if (lane.size() != n_atoms) lane.resize(n_atoms);  // resize zero-fills
-  }
-  s.chunk_energy.assign(plan.chunks, EnergyBreakdown{});
-  s.chunk_virial.assign(plan.chunks, Mat3{});
-  s.clean = false;
-}
-
 void compute_clusters_chunk(const ClusterPairList& list,
                             const PairTableSet& tables, const Box& box,
                             const util::ChunkPlan& plan, size_t chunk,
                             size_t lane, double vdw_scale,
                             double charge_product_scale) {
-  ClusterEvalScratch& s = list.scratch;
+  PartialSums& s = list.scratch;
   const size_t lo = plan.begin(chunk);
   const std::span<const ClusterPairEntry> entries(list.entries.data() + lo,
                                                   plan.end(chunk) - lo);
   compute_cluster_entries(list, entries, tables, box, s.lane_forces[lane],
-                          s.chunk_energy[chunk], s.chunk_virial[chunk],
+                          s.slot_energy[chunk], s.slot_virial[chunk],
                           vdw_scale, charge_product_scale);
-}
-
-void reduce_cluster_chunks(const ClusterPairList& list,
-                           const util::ChunkPlan& plan, ForceResult& out) {
-  ClusterEvalScratch& s = list.scratch;
-  for (auto& lane : s.lane_forces) lane.drain_into(out.forces);
-  for (size_t c = 0; c < plan.chunks; ++c) {
-    out.energy.merge(s.chunk_energy[c]);
-    out.virial += s.chunk_virial[c];
-  }
-  s.clean = true;
 }
 
 void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
@@ -367,7 +325,7 @@ void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
 
   const bool fan_out = exec != nullptr && exec->parallel() && plan.chunks > 1;
   const size_t lanes = fan_out ? exec->runtime()->lanes() : 1;
-  prepare_cluster_scratch(list, lanes, out.forces.size(), plan);
+  list.scratch.prepare(lanes, out.forces.size(), plan.chunks);
   if (fan_out) {
     exec->parallel_for(plan.chunks, [&](size_t c) {
       compute_clusters_chunk(list, tables, box, plan, c,
@@ -380,7 +338,7 @@ void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
                              charge_product_scale);
     }
   }
-  reduce_cluster_chunks(list, plan, out);
+  list.scratch.reduce(out);
 }
 
 }  // namespace antmd::ff

@@ -64,23 +64,6 @@ inline constexpr uint32_t kClusterJWidth = 4;
 /// Slot sentinel for the ragged last cluster.
 inline constexpr uint32_t kPadAtom = 0xffffffffu;
 
-/// Persistent evaluation partials for one cluster list, reused across
-/// steps.  Forces accumulate into lane-private fixed-point arrays (indexed
-/// by util::TaskRuntime::current_lane()) that stay allocated — and zeroed,
-/// via FixedForceArray::drain_into in the reduction — between evaluations,
-/// so the per-call cost is the fold itself, not an O(lanes × atoms) clear.
-/// Energy and virial partials are per *chunk* (not per lane) because the
-/// double-precision virial's summation grouping must be a function of the
-/// list alone; reduce_cluster_chunks merges them in ascending chunk order.
-struct ClusterEvalScratch {
-  std::vector<FixedForceArray> lane_forces;
-  std::vector<EnergyBreakdown> chunk_energy;
-  std::vector<Mat3> chunk_virial;
-  /// False while an evaluation is in flight; a dirty prepare re-clears the
-  /// lane arrays (only happens after an exception unwound an evaluation).
-  bool clean = true;
-};
-
 /// One i-cluster × j-group tile.  `ci` indexes width-slot i-clusters,
 /// `cj` indexes 4-slot j-groups (cj*kClusterJWidth is its slot base).  Bit
 /// (a*kClusterJWidth + b) of `mask` is set when slot a of cluster ci
@@ -143,7 +126,7 @@ struct ClusterPairList {
   // is logically const on the list; a list serves one kernel call at a time
   // (same single-writer discipline as the rest of the simulation).
   mutable std::vector<double> sx, sy, sz;  ///< gathered coordinates
-  mutable ClusterEvalScratch scratch;      ///< persistent eval partials
+  mutable PartialSums scratch;  ///< lane forces + per-chunk energy/virial
 };
 
 /// Gathers `pos` into the list's SoA coordinate scratch (cluster order).
@@ -178,27 +161,16 @@ void compute_cluster_entries_scalar(
 /// the same boundaries (and the same bits) at any parallelism.
 [[nodiscard]] util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list);
 
-/// Sizes and (when needed) clears the persistent partial sinks for one
-/// evaluation over `plan` with `lanes` worker lanes.  Must run after the
-/// chunk plan is known and before the first compute_clusters_chunk call.
-void prepare_cluster_scratch(const ClusterPairList& list, size_t lanes,
-                             size_t n_atoms, const util::ChunkPlan& plan);
-
-/// Evaluates one chunk of tiles into the lane-private force accumulator
-/// and the chunk's energy/virial partials.  Chunks may run concurrently on
-/// distinct lanes; gather_cluster_coords() must have run at the current
-/// positions.
+/// Evaluates one chunk of tiles into the list's partial sums: the lane's
+/// force array and the chunk's energy/virial slot.  Chunks may run
+/// concurrently on distinct lanes; gather_cluster_coords() must have run at
+/// the current positions and list.scratch must be prepared for plan.chunks
+/// slots.
 void compute_clusters_chunk(const ClusterPairList& list,
                             const PairTableSet& tables, const Box& box,
                             const util::ChunkPlan& plan, size_t chunk,
                             size_t lane, double vdw_scale = 1.0,
                             double charge_product_scale = 1.0);
-
-/// The fixed-order reduction slot: drains every lane's force partial into
-/// `out` (integer, order-free) and merges chunk energy/virial partials in
-/// ascending chunk order — the same summation grouping as a serial run.
-void reduce_cluster_chunks(const ClusterPairList& list,
-                           const util::ChunkPlan& plan, ForceResult& out);
 
 /// Whole-list evaluation: gather + prepare + chunks + reduce, fanned out
 /// over `exec` when parallel.  Bit-identical to ff::compute_pairs over the

@@ -1,6 +1,5 @@
 #include "ff/nonbonded_simd.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -54,48 +53,45 @@ KernelIsa probe_kernel_isa() {
 
 namespace {
 
-// The active ISA affects dispatch speed only — every variant is
-// bit-identical — so one process-global is safe even with several engines
-// in flight (fleet runs): whatever value a worker reads, the physics is
-// the same.
-struct IsaState {
-  bool env_forced = false;
-  std::atomic<KernelIsa> active{KernelIsa::kScalar};
-  IsaState() {
-    const char* env = std::getenv("ANTMD_FORCE_ISA");
-    if (env != nullptr && *env != '\0') {
-      const KernelIsa isa = parse_kernel_isa(env);
-      if (!kernel_isa_supported(isa)) {
-        throw ConfigError(std::string("ANTMD_FORCE_ISA=") + env +
-                          " is not supported by this build/CPU");
-      }
-      active.store(isa, std::memory_order_relaxed);
-      env_forced = true;
-    } else {
-      active.store(probe_kernel_isa(), std::memory_order_relaxed);
-    }
+// Resolves the active ISA once per process: ANTMD_FORCE_ISA when set (the
+// differential harness's pin), the cpuid probe otherwise.  The ISA affects
+// dispatch speed only — every variant is bit-identical — so one
+// process-global is safe even with several engines in flight (fleet runs).
+KernelIsa resolve_kernel_isa() {
+  const char* env = std::getenv("ANTMD_FORCE_ISA");
+  if (env == nullptr || *env == '\0') return probe_kernel_isa();
+  const KernelIsa isa = parse_kernel_isa(env);
+  if (!kernel_isa_supported(isa)) {
+    throw ConfigError(std::string("ANTMD_FORCE_ISA=") + env +
+                      " is not supported by this build/CPU");
   }
-};
-
-IsaState& isa_state() {
-  static IsaState s;  // resolves the env override exactly once
-  return s;
+  return isa;
 }
 
 }  // namespace
 
 KernelIsa active_kernel_isa() {
-  return isa_state().active.load(std::memory_order_relaxed);
+  static const KernelIsa isa = resolve_kernel_isa();
+  return isa;
 }
 
-void set_kernel_isa(KernelIsa isa) {
+ClusterTileLoop cluster_tile_loop(KernelIsa isa) {
   if (!kernel_isa_supported(isa)) {
-    throw ConfigError(std::string("kernel ISA \"") + to_string(isa) +
-                      "\" is not supported by this build/CPU");
+    throw ConfigError(std::string("kernel ISA ") + to_string(isa) +
+                      " is not supported by this build/CPU");
   }
-  IsaState& s = isa_state();
-  if (s.env_forced) return;  // the differential harness's override wins
-  s.active.store(isa, std::memory_order_relaxed);
+  switch (isa) {
+#if defined(ANTMD_HAVE_SIMD_AVX2)
+    case KernelIsa::kAvx2:
+      return &compute_cluster_entries_avx2;
+#endif
+#if defined(ANTMD_HAVE_SIMD_AVX512)
+    case KernelIsa::kAvx512:
+      return &compute_cluster_entries_avx512;
+#endif
+    default:
+      return &compute_cluster_entries_scalar;
+  }
 }
 
 }  // namespace antmd::ff

@@ -5,13 +5,13 @@
 // in nonbonded_cluster.cpp: same fixed-point quantize-once contract, same
 // canonical 8-bucket virial grouping, bit-identical results on every input.
 // Because every variant produces the same bits, the active ISA is a plain
-// process-global — it affects speed, never trajectories — resolved once
-// from (highest priority first):
+// process-global — it affects speed, never trajectories — resolved once,
+// on first use, from:
 //
 //   1. the ANTMD_FORCE_ISA environment variable ("scalar" | "avx2" |
 //      "avx512") — the cross-ISA differential harness's hook;
-//   2. an explicit set_kernel_isa() call (the `nonbonded_simd` config key);
-//   3. a cpuid probe picking the widest ISA this binary and CPU support.
+//   2. otherwise a cpuid probe picking the widest ISA this binary and CPU
+//      support.
 //
 // Forcing an ISA the build or CPU lacks throws ConfigError — a forced run
 // must never silently fall back.  Per-call fallback to scalar still happens
@@ -50,17 +50,25 @@ enum class KernelIsa : uint8_t {
 /// unsupported ISA) and falls back to probe_kernel_isa().
 [[nodiscard]] KernelIsa active_kernel_isa();
 
-/// Sets the active ISA (config path).  Throws ConfigError when `isa` is
-/// not supported.  ANTMD_FORCE_ISA still wins: when the env override is
-/// present this is a no-op, so a forced differential run cannot be undone
-/// by a config default.
-void set_kernel_isa(KernelIsa isa);
+/// Signature shared by the scalar tile loop and every SIMD variant.
+using ClusterTileLoop = void (*)(const ClusterPairList&,
+                                 std::span<const ClusterPairEntry>,
+                                 const PairTableSet&, const Box&,
+                                 FixedForceArray&, EnergyBreakdown&, Mat3&,
+                                 double, double);
+
+/// The tile loop compiled for `isa` — the one table from ISA to entry
+/// point, which compute_cluster_entries dispatches through and tests and
+/// benches call to run one variant directly.  Throws ConfigError when
+/// !kernel_isa_supported(isa).  A caller running a SIMD loop directly must
+/// have checked tables.simd_arena().valid.
+[[nodiscard]] ClusterTileLoop cluster_tile_loop(KernelIsa isa);
 
 // Per-ISA tile-loop entry points, one per TU so each can carry its own
-// target flags.  Same signature and same results as the scalar path in
-// compute_cluster_entries; callers must have checked
-// tables.simd_arena().valid.  Only the variants the build supports are
-// defined (ANTMD_HAVE_SIMD_* from CMake).
+// target flags.  Same signature and same results as
+// compute_cluster_entries_scalar; reached through cluster_tile_loop.  Only
+// the variants the build supports are defined (ANTMD_HAVE_SIMD_* from
+// CMake).
 #if defined(ANTMD_HAVE_SIMD_AVX2)
 void compute_cluster_entries_avx2(const ClusterPairList& list,
                                   std::span<const ClusterPairEntry> entries,

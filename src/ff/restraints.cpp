@@ -59,8 +59,9 @@ std::vector<double> compute_steered_springs(
 
 void compute_external_field(const ExternalField& field,
                             std::span<const double> charges,
-                            std::span<const Vec3> pos, ForceResult& out) {
-  for (size_t i = 0; i < charges.size(); ++i) {
+                            std::span<const Vec3> pos,
+                            std::span<const uint32_t> atoms, ForceResult& out) {
+  for (uint32_t i : atoms) {
     if (charges[i] == 0.0) continue;
     out.forces.add(i, charges[i] * field.field);
     // Energy -q E·r (reported for diagnostics; gauge-dependent under PBC).

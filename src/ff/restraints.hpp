@@ -6,6 +6,7 @@
 // methods papers (ligand pulling, enhanced sampling) rely on.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -64,8 +65,10 @@ std::vector<double> compute_steered_springs(
     std::span<const SteeredSpring> springs, std::span<const Vec3> pos,
     const Box& box, double time, ForceResult& out);
 
+/// Field force and energy on each of `atoms` (uncharged atoms skipped).
 void compute_external_field(const ExternalField& field,
                             std::span<const double> charges,
-                            std::span<const Vec3> pos, ForceResult& out);
+                            std::span<const Vec3> pos,
+                            std::span<const uint32_t> atoms, ForceResult& out);
 
 }  // namespace antmd::ff

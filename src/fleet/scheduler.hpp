@@ -70,11 +70,6 @@ struct SchedulerConfig {
   /// Keep each completed run's final state as <checkpoint_dir>/<name>.final
   /// (v2 container) for collection by the operator.
   bool retain_final_state = false;
-  /// Cluster-kernel ISA for every tenant ("auto" = cpuid probe; or
-  /// scalar | avx2 | avx512).  Process-global — kernel dispatch is
-  /// shared state, so it is a fleet key, not a per-run key.  All variants
-  /// are bit-identical; this only changes speed.
-  std::string nonbonded_simd = "auto";
 };
 
 /// Aggregate outcome of run_to_completion().

@@ -25,18 +25,6 @@ void FixedForceArray::drain_into(FixedForceArray& dst) {
   }
 }
 
-void FixedForceArray::accumulate_range(const FixedForceArray& src, size_t lo,
-                                       size_t hi) {
-  ANTMD_REQUIRE(src.data_.size() == data_.size() && hi <= data_.size() &&
-                    lo <= hi,
-                "accumulate_range out of bounds");
-  for (size_t i = lo; i < hi; ++i) {
-    data_[i][0] += src.data_[i][0];
-    data_[i][1] += src.data_[i][1];
-    data_[i][2] += src.data_[i][2];
-  }
-}
-
 std::vector<Vec3> FixedForceArray::to_vectors() const {
   std::vector<Vec3> out(data_.size());
   for (size_t i = 0; i < data_.size(); ++i) out[i] = force(i);

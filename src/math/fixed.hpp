@@ -122,10 +122,6 @@ class FixedForceArray {
   /// zeroed between evaluations instead of being re-zeroed every call.
   void drain_into(FixedForceArray& dst);
 
-  /// Adds src's quanta for atoms in [lo, hi) only.  An order-free integer
-  /// fold that parallel reductions can split into disjoint atom ranges.
-  void accumulate_range(const FixedForceArray& src, size_t lo, size_t hi);
-
   /// Raw integer quanta for atom i (for exact redistribution algorithms).
   [[nodiscard]] std::array<int64_t, 3> quanta(size_t i) const {
     return data_[i];

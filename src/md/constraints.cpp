@@ -58,45 +58,56 @@ ConstraintStats ConstraintSolver::apply_positions(std::span<const Vec3> before,
   return apply_shake(before, positions, velocities, dt, box);
 }
 
+size_t ConstraintSolver::shake_cluster(const Cluster& cluster,
+                                       std::span<const Vec3> before,
+                                       std::span<Vec3> positions,
+                                       std::span<Vec3> velocities, double dt,
+                                       const Box& box) const {
+  const auto& masses = topo_->masses();
+  size_t sweeps = 0;
+  for (size_t iter = 0; iter < max_iterations_; ++iter) {
+    double worst = 0.0;
+    for (const auto& c : cluster.constraints) {
+      Vec3 d = box.min_image(positions[c.i], positions[c.j]);
+      double r2 = norm2(d);
+      double diff = r2 - c.r0 * c.r0;
+      worst = std::max(worst, std::abs(std::sqrt(r2) - c.r0) / c.r0);
+      if (std::abs(diff) < 2.0 * tolerance_ * c.r0 * c.r0) continue;
+
+      // Classic SHAKE update along the *reference* bond direction.
+      Vec3 s = box.min_image(before[c.i], before[c.j]);
+      double inv_mi = 1.0 / masses[c.i];
+      double inv_mj = 1.0 / masses[c.j];
+      double denom = 2.0 * (inv_mi + inv_mj) * dot(s, d);
+      if (std::abs(denom) < 1e-12) denom = std::copysign(1e-12, denom);
+      double g = diff / denom;
+      Vec3 corr = g * s;
+      positions[c.i] -= inv_mi * corr;
+      positions[c.j] += inv_mj * corr;
+      if (dt > 0.0) {
+        velocities[c.i] -= (inv_mi / dt) * corr;
+        velocities[c.j] += (inv_mj / dt) * corr;
+      }
+    }
+    ++sweeps;
+    if (worst < tolerance_) break;
+    if (iter + 1 >= max_iterations_) {
+      throw NumericalError(
+          "SHAKE failed to converge — system is likely unstable");
+    }
+  }
+  return sweeps;
+}
+
 ConstraintStats ConstraintSolver::apply_shake(std::span<const Vec3> before,
                                               std::span<Vec3> positions,
                                               std::span<Vec3> velocities,
                                               double dt,
                                               const Box& box) const {
   ConstraintStats stats;
-  const auto& masses = topo_->masses();
   for (const Cluster& cluster : clusters_) {
-    for (size_t iter = 0; iter < max_iterations_; ++iter) {
-      double worst = 0.0;
-      for (const auto& c : cluster.constraints) {
-        Vec3 d = box.min_image(positions[c.i], positions[c.j]);
-        double r2 = norm2(d);
-        double diff = r2 - c.r0 * c.r0;
-        worst = std::max(worst, std::abs(std::sqrt(r2) - c.r0) / c.r0);
-        if (std::abs(diff) < 2.0 * tolerance_ * c.r0 * c.r0) continue;
-
-        // Classic SHAKE update along the *reference* bond direction.
-        Vec3 s = box.min_image(before[c.i], before[c.j]);
-        double inv_mi = 1.0 / masses[c.i];
-        double inv_mj = 1.0 / masses[c.j];
-        double denom = 2.0 * (inv_mi + inv_mj) * dot(s, d);
-        if (std::abs(denom) < 1e-12) denom = std::copysign(1e-12, denom);
-        double g = diff / denom;
-        Vec3 corr = g * s;
-        positions[c.i] -= inv_mi * corr;
-        positions[c.j] += inv_mj * corr;
-        if (dt > 0.0) {
-          velocities[c.i] -= (inv_mi / dt) * corr;
-          velocities[c.j] += (inv_mj / dt) * corr;
-        }
-      }
-      ++stats.iterations;
-      if (worst < tolerance_) break;
-      if (iter + 1 >= max_iterations_) {
-        throw NumericalError(
-            "SHAKE failed to converge — system is likely unstable");
-      }
-    }
+    stats.iterations +=
+        shake_cluster(cluster, before, positions, velocities, dt, box);
   }
   stats.max_violation = max_violation(positions, box);
   return stats;
@@ -150,14 +161,8 @@ ConstraintStats ConstraintSolver::apply_mshake(std::span<const Vec3> before,
   for (const Cluster& cluster : clusters_) {
     const size_t n = cluster.constraints.size();
     if (n > kMaxDense) {
-      // Delegate this cluster to plain SHAKE logic by running the global
-      // SHAKE pass once over just this cluster's constraints.
-      ConstraintSolver shake_like(*topo_, tolerance_, max_iterations_,
-                                  ConstraintAlgorithm::kShake);
-      // Cheap correctness-preserving fallback: reuse the full SHAKE apply.
-      auto sub = shake_like.apply_shake(before, positions, velocities, dt,
-                                        box);
-      stats.iterations += sub.iterations;
+      stats.iterations +=
+          shake_cluster(cluster, before, positions, velocities, dt, box);
       continue;
     }
 

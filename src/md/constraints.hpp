@@ -62,6 +62,11 @@ class ConstraintSolver {
     std::vector<DistanceConstraint> constraints;
   };
 
+  /// SHAKE sweeps over one cluster until it converges; returns the sweep
+  /// count.  Throws NumericalError after max_iterations_ sweeps.
+  size_t shake_cluster(const Cluster& cluster, std::span<const Vec3> before,
+                       std::span<Vec3> positions, std::span<Vec3> velocities,
+                       double dt, const Box& box) const;
   ConstraintStats apply_shake(std::span<const Vec3> before,
                               std::span<Vec3> positions,
                               std::span<Vec3> velocities, double dt,

@@ -230,8 +230,8 @@ void StepGraphForces::build_graph() {
           const ff::ClusterPairList& list = nlist_.clusters();
           ff::gather_cluster_coords(list, call_.state->positions);
           nb_plan_ = ff::cluster_chunk_plan(list);
-          ff::prepare_cluster_scratch(list, graph_->lanes(),
-                                      ff_->topology().atom_count(), nb_plan_);
+          list.scratch.prepare(graph_->lanes(), ff_->topology().atom_count(),
+                               nb_plan_.chunks);
         },
         {t_list_ready});
     reduce_deps.push_back(g.add_parallel(
@@ -265,7 +265,7 @@ void StepGraphForces::build_graph() {
         ForceResult& out = *call_.out;
         const bool nonbonded = with_nonbonded();
         if (cluster && nonbonded) {
-          ff::reduce_cluster_chunks(nlist_.clusters(), nb_plan_, out);
+          nlist_.clusters().scratch.reduce(out);
         }
         if (nonbonded) out.merge(*call_.kspace_cache);
         ff::spread_virtual_site_forces(ff_->topology().virtual_sites(),

@@ -73,6 +73,7 @@ void DistributedEngine::redistribute(std::span<const Vec3> positions,
   }
 
   const Topology& topo = ff_->topology();
+  generation_ = ff_->generation();
   decomp_.assign_atoms(positions, box);
 
   parts_.assign(torus_.node_count(), NodePartition{});
@@ -231,40 +232,7 @@ void DistributedEngine::evaluate_node(const NodePartition& part,
   const Topology& topo = ff_->topology();
   const auto& tables = ff_->tables();
 
-  ff::compute_bonds(part.bonds, positions, box, partial);
-  ff::compute_angles(part.angles, positions, box, partial);
-  ff::compute_dihedrals(part.dihedrals, positions, box, partial);
-  ff::compute_morse_bonds(part.morse_bonds, positions, box, partial);
-  ff::compute_urey_bradleys(part.urey_bradleys, positions, box, partial);
-  ff::compute_impropers(part.impropers, positions, box, partial);
-  ff::compute_go_contacts(part.go_contacts, positions, box, partial);
-  ff::compute_pairs14(part.pairs14, tables, topo.type_ids(),
-                      topo.charges(), positions, box, partial);
-  ff::compute_position_restraints(part.pos_restraints, positions, box,
-                                  partial);
-  ff::compute_distance_restraints(part.dist_restraints, positions, box,
-                                  partial);
-  if (!part.springs.empty()) {
-    ff::compute_steered_springs(part.springs, positions, box, time,
-                                partial);
-  }
-  if (!part.biases.empty()) {
-    ff::compute_pair_biases(part.biases, positions, box, partial);
-  }
-  if (!part.dihedral_biases.empty()) {
-    ff::compute_dihedral_biases(part.dihedral_biases, positions, box,
-                                partial);
-  }
-  if (ff_->external_field()) {
-    // Field force on owned atoms only (a strictly per-atom term).
-    for (uint32_t atom : part.owned_atoms) {
-      double q = topo.charges()[atom];
-      if (q == 0.0) continue;
-      partial.forces.add(atom, q * ff_->external_field()->field);
-      partial.energy.external.add(
-          -q * dot(ff_->external_field()->field, positions[atom]));
-    }
-  }
+  ff_->compute_bonded_terms(part.terms(), positions, box, time, partial);
   if (clusters_ != nullptr) {
     // Gather already ran once in evaluate(); per-node virials accumulate
     // sequentially within the node, and the ascending-node merge keeps the
@@ -344,16 +312,15 @@ size_t DistributedEngine::effective_node(size_t node) const {
   return node;  // unreachable: set_node_failed keeps at least one node alive
 }
 
-machine::StepWork DistributedEngine::evaluate(
-    std::span<Vec3> positions, const Box& box, double time,
-    std::span<const ff::PairEntry> pairs, bool kspace_due, ForceResult& out,
-    ForceResult& kspace_cache) const {
+machine::StepWork DistributedEngine::evaluate(std::span<Vec3> positions,
+                                              const Box& box, double time,
+                                              bool kspace_due,
+                                              ForceResult& out,
+                                              ForceResult& kspace_cache) const {
   ANTMD_REQUIRE(!parts_.empty(), "redistribute() must run before evaluate()");
   obs::TracePhase eval_phase("runtime.evaluate", "runtime",
                              &engine_metrics().evaluate_ns);
-  static_cast<void>(pairs);  // partitioned copies are authoritative
   const Topology& topo = ff_->topology();
-  const size_t n_atoms = topo.atom_count();
 
   // Position multicast: every consumer sees the fixed-point wire format.
   for (auto& p : positions) p = snap_position(p);
@@ -362,122 +329,84 @@ machine::StepWork DistributedEngine::evaluate(
   // One SoA gather serves every node's tile slice this step.
   if (clusters_ != nullptr) ff::gather_cluster_coords(*clusters_, positions);
 
-  out.reset(n_atoms);
+  out.reset(topo.atom_count());
   machine::StepWork work;
   work.nodes.resize(parts_.size());
 
-  if (exec_->parallel() && parts_.size() > 1) {
-    // Phase-overlapped path: per-node kernels and the reciprocal-space
-    // solve run concurrently; forces fold in parallel over disjoint atom
-    // ranges (order-free integer adds); energies and the double-precision
-    // virial merge in ascending node order inside the reduction task —
-    // bit-identical to the serial loop below.
-    if (!eval_graph_) build_eval_graph();
-    partials_scratch_.resize(parts_.size());
-    call_ = EvalCall{positions, &box,           time, kspace_due,
-                     &out,      &kspace_cache, &work};
-    eval_graph_->run();
-    call_ = EvalCall{};
-    return work;
-  }
-
-  for (size_t n = 0; n < parts_.size(); ++n) {
-    obs::TracePhase node_phase("runtime.node_eval", "runtime",
-                               &engine_metrics().node_eval_ns, /*track=*/
-                               kNodeTrackBase + static_cast<int64_t>(n),
-                               "node", static_cast<int64_t>(n));
-    engine_metrics().node_evals.add();
-    ForceResult partial(n_atoms);
-    evaluate_node(parts_[n], positions, box, time, partial, work.nodes[n]);
-    out.merge(partial);  // the modeled force reduction
-  }
-
-  if (ff_->has_kspace()) {
-    kspace_phase(positions, box, kspace_due, kspace_cache, work);
-    out.merge(kspace_cache);
-  }
-
-  ff::spread_virtual_site_forces(topo.virtual_sites(), positions, box,
-                                 out.forces);
+  if (!eval_graph_) build_eval_graph();
+  sums_.prepare(eval_graph_->lanes(), topo.atom_count(), parts_.size());
+  call_ = EvalCall{positions, &box,           time, kspace_due,
+                   &out,      &kspace_cache, &work};
+  eval_graph_->run();
+  call_ = EvalCall{};
   return work;
 }
 
-void DistributedEngine::kspace_phase(std::span<const Vec3> positions,
-                                     const Box& box, bool kspace_due,
-                                     ForceResult& kspace_cache,
-                                     machine::StepWork& work) const {
-  if (!ff_->has_kspace() || !kspace_due) return;
-  obs::TracePhase phase("runtime.kspace", "runtime",
-                        &engine_metrics().kspace_ns);
-  kspace_cache.reset(ff_->topology().atom_count());
-  ff_->compute_kspace(positions, box, kspace_cache);
-  size_t charged = 0;
-  for (double q : ff_->topology().charges()) {
-    if (q != 0.0) ++charged;
-  }
-  auto gw = ff_->gse()->workload(charged);
-  work.kspace.active = true;
-  work.kspace.grid_points = gw.grid_points;
-  work.kspace.charges = gw.charges;
-  work.kspace.stencil_points = gw.spread_stencil_points;
-  work.kspace.fft_flops = gw.fft_flops;
+void DistributedEngine::run_node(size_t n) const {
+  obs::TracePhase node_phase("runtime.node_eval", "runtime",
+                             &engine_metrics().node_eval_ns, /*track=*/
+                             kNodeTrackBase + static_cast<int64_t>(n), "node",
+                             static_cast<int64_t>(n));
+  engine_metrics().node_evals.add();
+  // The kernels add into a ForceResult: lend it the lane's force array for
+  // this node, and keep the node's energy and virial apart in its slot.
+  FixedForceArray& lane = sums_.lane_forces[util::TaskRuntime::current_lane()];
+  ForceResult partial;
+  partial.forces = std::move(lane);
+  evaluate_node(parts_[n], call_.positions, *call_.box, call_.time, partial,
+                call_.work->nodes[n]);
+  lane = std::move(partial.forces);
+  sums_.slot_energy[n] = partial.energy;
+  sums_.slot_virial[n] = partial.virial;
 }
 
 void DistributedEngine::build_eval_graph() const {
-  const size_t n_atoms = ff_->topology().atom_count();
-  // The fold partition is a function of the atom count alone; the fold is
-  // an order-free integer add, so its granularity cannot change any bit.
-  fold_plan_ = util::plan_chunks(n_atoms, 1024, 32);
   eval_graph_ =
       std::make_unique<util::TaskGraph>(exec_->runtime(), "runtime.evaluate");
   util::TaskGraph& g = *eval_graph_;
 
-  const util::TaskId t_nodes = g.add_parallel(
+  std::vector<util::TaskId> reduce_deps = {g.add_parallel(
       "runtime.node_eval", [this] { return parts_.size(); },
-      [this](size_t n) {
-        obs::TracePhase node_phase("runtime.node_eval", "runtime",
-                                   &engine_metrics().node_eval_ns, /*track=*/
-                                   kNodeTrackBase + static_cast<int64_t>(n),
-                                   "node", static_cast<int64_t>(n));
-        engine_metrics().node_evals.add();
-        partials_scratch_[n].reset(call_.positions.size());
-        evaluate_node(parts_[n], call_.positions, *call_.box, call_.time,
-                      partials_scratch_[n], call_.work->nodes[n]);
-      });
+      [this](size_t n) { run_node(n); })};
 
-  const util::TaskId t_kspace = g.add("runtime.kspace", [this] {
-    kspace_phase(call_.positions, *call_.box, call_.kspace_due,
-                 *call_.kspace_cache, *call_.work);
-  });
-
-  const util::TaskId t_fold = g.add_parallel(
-      "runtime.force_fold", [this] { return fold_plan_.chunks; },
-      [this](size_t c) {
-        const size_t lo = fold_plan_.begin(c);
-        const size_t hi = fold_plan_.end(c);
-        for (size_t n = 0; n < parts_.size(); ++n) {
-          call_.out->forces.accumulate_range(partials_scratch_[n].forces, lo,
-                                             hi);
-        }
-      },
-      {t_nodes});
+  // Reciprocal space as GSE's stage chain, beside the node tasks; its
+  // workload is charged to the timing model on the evaluations that run it.
+  if (ff_->has_kspace()) {
+    reduce_deps.push_back(ff_->gse()->append_stages(
+        g, [this]() -> std::optional<GseInput> {
+          if (!call_.kspace_due) return std::nullopt;
+          size_t charged = 0;
+          for (double q : ff_->topology().charges()) {
+            if (q != 0.0) ++charged;
+          }
+          const GseWorkload gw = ff_->gse()->workload(charged);
+          machine::StepWork& work = *call_.work;
+          work.kspace.active = true;
+          work.kspace.grid_points = gw.grid_points;
+          work.kspace.charges = gw.charges;
+          work.kspace.stencil_points = gw.spread_stencil_points;
+          work.kspace.fft_flops = gw.fft_flops;
+          call_.kspace_cache->reset(ff_->topology().atom_count());
+          return GseInput{call_.positions,       ff_->kspace_charges(),
+                          ff_->excluded_pairs(), *call_.box,
+                          call_.kspace_cache,    &engine_metrics().kspace_ns};
+        }));
+  }
 
   g.add_reduction(
       "runtime.reduce",
       [this] {
-        // Ascending node order for the scalar partials: the same summation
-        // grouping as the serial loop, bit-for-bit, including the
-        // double-precision virial.
-        for (size_t n = 0; n < parts_.size(); ++n) {
-          call_.out->energy.merge(partials_scratch_[n].energy);
-          call_.out->virial += partials_scratch_[n].virial;
-        }
-        if (ff_->has_kspace()) call_.out->merge(*call_.kspace_cache);
+        // Node slots in ascending node order, then the k-space cache: the
+        // summation grouping of a serial loop over the nodes, bit for bit,
+        // including the double-precision virial.
+        ForceResult& out = *call_.out;
+        sums_.reduce(out);
+        if (ff_->has_kspace()) out.merge(*call_.kspace_cache);
         ff::spread_virtual_site_forces(ff_->topology().virtual_sites(),
                                        call_.positions, *call_.box,
-                                       call_.out->forces);
+                                       out.forces);
       },
-      {t_fold, t_kspace});
+      std::move(reduce_deps));
 }
 
 }  // namespace antmd::runtime

@@ -1,8 +1,17 @@
 // DistributedEngine: evaluates forces exactly as the single-host ForceField
 // does, but partitioned across the modeled machine's nodes, producing (a) a
-// bit-identical ForceResult regardless of node count — the determinism the
-// real machine's fixed-point arithmetic guarantees — and (b) per-node
-// workload counts for the timing model.
+// bit-identical ForceResult regardless of node count and lane count — the
+// determinism the real machine's fixed-point arithmetic guarantees — and
+// (b) per-node workload counts for the timing model.
+//
+// One evaluation is one task graph, at every lane and node count: node
+// tasks (each node's bonded and extension terms through
+// ForceField::compute_bonded_terms, then its pair or tile share) add into
+// PartialSums — lane-private forces, one energy/virial slot per node —
+// beside GSE's reciprocal-space stage chain, and one reduction merges the
+// node slots in ascending node order, then the k-space cache, then spreads
+// virtual-site forces.  What is specific to the machine is the node
+// partition, the wire-format position snap and the workload accounting.
 //
 // Kernel → hardware-unit mapping (the paper's central design point):
 //   tabulated pair interactions  → HTIS pairwise pipelines
@@ -25,10 +34,9 @@ namespace antmd::runtime {
 
 struct EngineOptions {
   PairAssignment pair_rule = PairAssignment::kHomeOfFirst;
-  /// Host-thread parallelism for per-node partition evaluation.  Per-node
-  /// partials are merged in ascending node index order, so the trajectory —
-  /// including the double-precision virial — is bit-identical to the serial
-  /// path at any thread count.
+  /// Host lanes for the evaluation graph.  Per-node partials are merged in
+  /// ascending node index order, so the result — including the
+  /// double-precision virial — is bit-identical at any lane count.
   ExecutionConfig execution;
 };
 
@@ -36,23 +44,32 @@ class DistributedEngine {
  public:
   DistributedEngine(ForceField& ff, const machine::MachineConfig& config,
                     EngineOptions options = {});
+  // The evaluation graph's tasks hold `this`.
+  DistributedEngine(const DistributedEngine&) = delete;
+  DistributedEngine& operator=(const DistributedEngine&) = delete;
 
-  /// Reassigns atoms and work to nodes; call whenever the global neighbor
-  /// list was rebuilt (atom migration happens at list rebuilds on Anton
-  /// too).  When `clusters` is non-null the engine partitions and evaluates
-  /// the blocked cluster-pair tiles instead of the flat pairs (the tile
-  /// list must stay alive until the next redistribute) and charges the
-  /// timing model per streamed tile lane.
+  /// Reassigns atoms and work to nodes, copying the force field's terms
+  /// into the node partitions; call whenever the global neighbor list was
+  /// rebuilt (atom migration happens at list rebuilds on Anton too) or the
+  /// force field changed (partitions_stale()).  When `clusters` is non-null
+  /// the engine partitions and evaluates the blocked cluster-pair tiles
+  /// instead of the flat pairs (the tile list must stay alive until the
+  /// next redistribute) and charges the timing model per streamed tile
+  /// lane.
   void redistribute(std::span<const Vec3> positions, const Box& box,
                     std::span<const ff::PairEntry> pairs,
                     const ff::ClusterPairList* clusters = nullptr);
 
+  /// True when the force field was mutated after the last redistribute(),
+  /// so the partitions hold stale copies of its terms.
+  [[nodiscard]] bool partitions_stale() const {
+    return generation_ != ff_->generation();
+  }
+
   /// Evaluates all forces.  `kspace_cache` is reused when !kspace_due.
   /// Returns the machine-wide workload of this step for the timing model.
   machine::StepWork evaluate(std::span<Vec3> positions, const Box& box,
-                             double time,
-                             std::span<const ff::PairEntry> pairs,
-                             bool kspace_due, ForceResult& out,
+                             double time, bool kspace_due, ForceResult& out,
                              ForceResult& kspace_cache) const;
 
   [[nodiscard]] const SpatialDecomposition& decomposition() const {
@@ -108,6 +125,15 @@ class DistributedEngine {
     double import_bytes = 0.0;
     double export_bytes = 0.0;
     size_t messages = 0;
+
+    /// This node's geometry-core terms; the external field acts on the
+    /// atoms it owns.
+    [[nodiscard]] ff::BondedTerms terms() const {
+      return {bonds,          angles,          dihedrals,   morse_bonds,
+              urey_bradleys,  impropers,       go_contacts, pairs14,
+              pos_restraints, dist_restraints, springs,     biases,
+              dihedral_biases, owned_atoms};
+    }
   };
 
   void fill_comm_counts(std::span<const Vec3> positions, const Box& box);
@@ -116,14 +142,12 @@ class DistributedEngine {
   void evaluate_node(const NodePartition& part, std::span<const Vec3> positions,
                      const Box& box, double time, ForceResult& partial,
                      machine::NodeWork& nw) const;
-  /// Wires the per-evaluate DAG: node kernels ∥ kspace → parallel atom-range
-  /// force fold → ascending-node energy/virial merge + vsite spread.
+  /// Wires the evaluation graph: node tasks ∥ the GSE stage chain →
+  /// ascending-node reduction + k-space merge + vsite spread.
   void build_eval_graph() const;
-  /// Reciprocal-space recompute (when due) plus its workload accounting;
-  /// the cache merge stays with the caller's reduction.
-  void kspace_phase(std::span<const Vec3> positions, const Box& box,
-                    bool kspace_due, ForceResult& kspace_cache,
-                    machine::StepWork& work) const;
+  /// Node n's task body: its forces go into the lane's array, its energy
+  /// and virial into slot n of sums_.
+  void run_node(size_t n) const;
 
   ForceField* ff_;
   machine::TorusTopology torus_;
@@ -134,14 +158,15 @@ class DistributedEngine {
   /// by the caller (the neighbor list object outlives its rebuilds).
   const ff::ClusterPairList* clusters_ = nullptr;
   std::vector<char> failed_;  ///< per-node failure flags (empty = all alive)
+  uint64_t generation_ = 0;   ///< ff_->generation() at the last redistribute
   machine::GcCosts costs_;
   std::shared_ptr<ExecutionContext> exec_;
-  /// Per-node ForceResult scratch reused across steps (parallel path only).
-  mutable std::vector<ForceResult> partials_scratch_;
+  /// Node partials, reused across evaluations.
+  mutable PartialSums sums_;
 
-  /// Per-evaluate task graph (built lazily; parallel deterministic path
-  /// only) plus the per-call parameters its task bodies read.  Mutable for
-  /// the same reason as the scratch: evaluation is logically const.
+  /// The evaluation graph (built on first use) plus the per-call parameters
+  /// its task bodies read.  Mutable for the same reason as the partials:
+  /// evaluation is logically const.
   struct EvalCall {
     std::span<const Vec3> positions;
     const Box* box = nullptr;
@@ -152,7 +177,6 @@ class DistributedEngine {
     machine::StepWork* work = nullptr;
   };
   mutable std::unique_ptr<util::TaskGraph> eval_graph_;
-  mutable util::ChunkPlan fold_plan_;
   mutable EvalCall call_;
 };
 

@@ -121,9 +121,14 @@ void MachineForces::compute(State& state, const md::ForceRequest& request,
                             ForceResult& out, ForceResult& kspace_cache) {
   ANTMD_REQUIRE(request.terms == md::ForceTerms::kAll,
                 "the machine evaluates all force terms at once");
-  if (nlist_.update(state.positions, state.box)) redistribute(state);
+  // The node partitions hold copies of the field's terms: recopy them when
+  // atoms migrate (a list rebuild) and when the field was mutated since
+  // (a bias a sampling driver added after construction, say).
+  if (nlist_.update(state.positions, state.box) || engine_.partitions_stale()) {
+    redistribute(state);
+  }
   machine::StepWork work =
-      engine_.evaluate(state.positions, state.box, state.time, nlist_.pairs(),
+      engine_.evaluate(state.positions, state.box, state.time,
                        request.kspace_due, out, kspace_cache);
   if (request.restore) return;
   charge(std::move(work));

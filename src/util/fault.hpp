@@ -21,7 +21,10 @@
 //                  evaluation; not in RESPA's bonded-only pass, nor in
 //                  the machine's restore)
 //   kNodeFail      DistributedEngine::redistribute -> marks a torus node
-//                  failed; its work is remapped to surviving nodes
+//                  failed; its work is remapped to surviving nodes.  Polled
+//                  on every redistribute: the machine provider's list
+//                  rebuilds, its redistribute after a force-field mutation
+//                  (partitions_stale) and the supervisor's recovery path
 //   kLinkDrop      machine::ReliableTransport      -> a message is dropped
 //                  on its torus link; the ack times out and the transport
 //                  retransmits with exponential backoff, down-marking the

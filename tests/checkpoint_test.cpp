@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ff/forcefield.hpp"
-#include "ff/nonbonded_simd.hpp"
 #include "io/checkpoint.hpp"
 #include "machine/config.hpp"
 #include "md/simulation.hpp"
@@ -276,52 +275,6 @@ TEST(CheckpointResume, ClusterKernelResumeBitExact) {
     EXPECT_EQ(ex.shift, ey.shift);
   }
   EXPECT_EQ(x.clusters().real_pairs, y.clusters().real_pairs);
-}
-
-// A checkpoint written under one kernel ISA must resume bit-identically
-// under another: the SIMD variants are specified bit-identical to scalar,
-// and the checkpoint carries no kernel state, so the dispatched ISA is a
-// pure speed knob.  This is the software model of swapping the machine's
-// pipeline revision mid-run without perturbing a trajectory.
-TEST(CheckpointResume, CrossIsaResumeBitExact) {
-  const ff::KernelIsa widest = ff::probe_kernel_isa();
-  if (widest == ff::KernelIsa::kScalar) {
-    GTEST_SKIP() << "no SIMD variant compiled/supported on this host";
-  }
-  ff::set_kernel_isa(widest);
-  if (ff::active_kernel_isa() != widest) {
-    GTEST_SKIP() << "ANTMD_FORCE_ISA pins the ISA for this process";
-  }
-
-  auto spec = build_ionic_solution(125, 4, 5);
-  ff::NonbondedModel model;
-  model.cutoff = 6.0;
-  model.electrostatics = ff::Electrostatics::kReactionCutoff;
-  auto cfg = langevin_config(160, 2.0);
-  cfg.nonbonded_kernel = ff::NonbondedKernel::kCluster;
-
-  // Reference: the whole run under the widest SIMD variant.
-  ForceField field_a(spec.topology, model);
-  md::Simulation a(field_a, spec.positions, spec.box, cfg);
-  a.run(40);
-
-  // First half under forced scalar, checkpoint...
-  ff::set_kernel_isa(ff::KernelIsa::kScalar);
-  ForceField field_b(spec.topology, model);
-  md::Simulation b(field_b, spec.positions, spec.box, cfg);
-  b.run(20);
-  std::string blob = save(b);
-
-  // ...second half back under the SIMD variant.
-  ff::set_kernel_isa(widest);
-  ForceField field_c(spec.topology, model);
-  md::Simulation c(field_c, spec.positions, spec.box, cfg);
-  restore(c, blob);
-  c.run(20);
-
-  expect_state_eq(c.state(), a.state());
-  EXPECT_EQ(c.potential_energy(), a.potential_energy());
-  EXPECT_EQ(c.kinetic_energy(), a.kinetic_energy());
 }
 
 // The flat-pair kernel stays checkpoint-safe too now that cluster is the

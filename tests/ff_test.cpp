@@ -360,7 +360,8 @@ TEST(Restraints, ExternalFieldForcesByCharge) {
   std::vector<Vec3> pos = {{0, 0, 0}, {1, 0, 0}, {2, 0, 0}};
   ff::ExternalField field{Vec3{0, 0, 3.0}};
   ForceResult out(3);
-  ff::compute_external_field(field, charges, pos, out);
+  const std::vector<uint32_t> atoms = {0, 1, 2};
+  ff::compute_external_field(field, charges, pos, atoms, out);
   EXPECT_NEAR(out.forces.force(0).z, 3.0, 1e-6);
   EXPECT_NEAR(out.forces.force(1).z, -6.0, 1e-6);
   EXPECT_EQ(norm(out.forces.force(2)), 0.0);
@@ -427,7 +428,7 @@ TEST(VirtualSites, TorqueFreeForCentralForce) {
   EXPECT_NEAR(forces.force(1).x, 0.3, 1e-5);
 }
 
-TEST(ForceField, ComputeAllOnWaterRunsAndIsFinite) {
+TEST(ForceField, FullEvaluationOnWaterRunsAndIsFinite) {
   auto spec = build_water_box(27, WaterModel::kFlexible3Site);
   ff::NonbondedModel model;
   model.cutoff = 7.0;
@@ -446,8 +447,12 @@ TEST(ForceField, ComputeAllOnWaterRunsAndIsFinite) {
       }
     }
   }
+  // The full evaluation, term by term (flexible water has no virtual
+  // sites to construct or spread).
   ForceResult out(spec.topology.atom_count());
-  field.compute_all(spec.positions, spec.box, 0.0, pairs, out);
+  field.compute_bonded(spec.positions, spec.box, 0.0, out);
+  field.compute_nonbonded(pairs, spec.positions, spec.box, out);
+  field.compute_kspace(spec.positions, spec.box, out);
   EXPECT_TRUE(std::isfinite(out.energy.total()));
   // Neutral system at liquid density: electrostatics should be cohesive.
   EXPECT_LT(out.energy.coulomb_real.value() +

@@ -162,8 +162,8 @@ TEST(Integration, WorkloadEstimatorTracksFunctionalEngine) {
   engine.redistribute(positions, spec.box, list.pairs());
   ForceResult out(spec.topology.atom_count());
   ForceResult kcache(spec.topology.atom_count());
-  auto real_work = engine.evaluate(positions, spec.box, 0.0, list.pairs(),
-                                   true, out, kcache);
+  auto real_work =
+      engine.evaluate(positions, spec.box, 0.0, true, out, kcache);
 
   auto stats = machine::SystemStats::water(512);
   machine::WorkloadParams params;

@@ -345,9 +345,14 @@ TEST(ClusterBuilder, RowSkippingRaisesStreamedFillAt12kAtoms) {
 // ---------------------------------------------------------------------------
 // Physics invariants hold for BOTH nonbonded kernels (flat pair list and
 // blocked cluster-pair), and for the cluster kernel under every compiled
-// SIMD variant — the ISA is set per test case and must reproduce the same
-// physics (it is specified bit-identical, so these sweeps double as a
-// sanity net under real dynamics, not just the differential fixtures).
+// SIMD variant, which must reproduce the same physics (it is specified
+// bit-identical, so these sweeps double as a sanity net, not just the
+// differential fixtures).  The case for the process's active ISA goes
+// through ForceField::compute_nonbonded_clusters (the chunked partial-sum
+// path every caller uses); the other ISAs call their tile loop directly.
+// The NVE case runs the whole step graph, which dispatches to the active
+// ISA only; tests/CMakeLists.txt registers this sweep again under each
+// ANTMD_FORCE_ISA so every variant's NVE case runs in tier-1.
 // ---------------------------------------------------------------------------
 struct KernelCase {
   ff::NonbondedKernel kernel;
@@ -362,28 +367,32 @@ class KernelSweep : public ::testing::TestWithParam<KernelCase> {
       GTEST_SKIP() << ff::to_string(isa)
                    << " is not supported by this build/CPU";
     }
-    ff::set_kernel_isa(isa);
-    if (ff::active_kernel_isa() != isa) {
-      GTEST_SKIP() << "ANTMD_FORCE_ISA pins the kernel ISA";
-    }
   }
-  void TearDown() override { ff::set_kernel_isa(ff::probe_kernel_isa()); }
 };
 
-/// Real-space nonbonded evaluation through the selected kernel, with a
-/// fresh neighbor list built for the given positions/box.
+/// Real-space nonbonded evaluation through the selected kernel (and, for
+/// the cluster kernel, the selected ISA), with a fresh neighbor list built
+/// for the given positions/box.
 ForceResult nonbonded_only(const Topology& topo, const ForceField& field,
-                           ff::NonbondedKernel kernel,
+                           const KernelCase& kc,
                            const std::vector<Vec3>& positions,
                            const Box& box) {
   ForceResult out(topo.atom_count());
   md::NeighborList list(topo, field.model().cutoff, 1.0,
-                        kernel == ff::NonbondedKernel::kCluster);
+                        kc.kernel == ff::NonbondedKernel::kCluster);
   list.build(positions, box);
-  if (list.cluster_mode()) {
+  if (!list.cluster_mode()) {
+    field.compute_nonbonded(list.pairs(), positions, box, out);
+  } else if (kc.isa == ff::active_kernel_isa()) {
     field.compute_nonbonded_clusters(list.clusters(), positions, box, out);
   } else {
-    field.compute_nonbonded(list.pairs(), positions, box, out);
+    EXPECT_TRUE(field.tables().simd_arena().valid);
+    const ff::ClusterPairList& cl = list.clusters();
+    ff::gather_cluster_coords(cl, positions);
+    ff::cluster_tile_loop(kc.isa)(cl, cl.entries, field.tables(), box,
+                                  out.forces, out.energy, out.virial,
+                                  field.vdw_scale(),
+                                  field.charge_product_scale());
   }
   return out;
 }
@@ -396,7 +405,7 @@ TEST_P(KernelSweep, NewtonThirdLawNetForceExactlyZero) {
   model.cutoff = 6.0;
   model.electrostatics = ff::Electrostatics::kReactionCutoff;
   ForceField field(spec.topology, model);
-  ForceResult res = nonbonded_only(spec.topology, field, GetParam().kernel,
+  ForceResult res = nonbonded_only(spec.topology, field, GetParam(),
                                    spec.positions, spec.box);
   std::array<int64_t, 3> net{0, 0, 0};
   for (size_t i = 0; i < res.forces.size(); ++i) {
@@ -424,11 +433,11 @@ TEST_P(KernelSweep, VirialMatchesNumericalVolumeDerivative) {
     for (auto& p : pos) p = p * lambda;
     Box box(spec.box.edges().x * lambda, spec.box.edges().y * lambda,
             spec.box.edges().z * lambda);
-    ForceResult r = nonbonded_only(spec.topology, field, GetParam().kernel, pos, box);
+    ForceResult r = nonbonded_only(spec.topology, field, GetParam(), pos, box);
     return r.energy.total();
   };
 
-  ForceResult base = nonbonded_only(spec.topology, field, GetParam().kernel,
+  ForceResult base = nonbonded_only(spec.topology, field, GetParam(),
                                     spec.positions, spec.box);
   const double h = 1e-5;
   const double du_dlambda = (scaled_energy(1.0 + h) - scaled_energy(1.0 - h)) /
@@ -441,6 +450,13 @@ TEST_P(KernelSweep, VirialMatchesNumericalVolumeDerivative) {
 // Energy conservation over a long NVE trajectory through the full
 // md::Simulation stack with the kernel selected via SimulationConfig.
 TEST_P(KernelSweep, NveDriftBoundedOver2kSteps) {
+  if (GetParam().kernel == ff::NonbondedKernel::kCluster &&
+      GetParam().isa != ff::active_kernel_isa()) {
+    GTEST_SKIP() << "the step graph dispatches to the active ISA ("
+                 << ff::to_string(ff::active_kernel_isa())
+                 << "); the ANTMD_FORCE_ISA=" << ff::to_string(GetParam().isa)
+                 << " registration of this sweep runs this case";
+  }
   auto spec = build_lj_fluid(125, 0.021, 4);
   ff::NonbondedModel model;
   model.cutoff = 7.0;
@@ -473,7 +489,7 @@ TEST_P(KernelSweep, TranslationAndRotationInvariance) {
   model.electrostatics = ff::Electrostatics::kNone;
   ForceField field(spec.topology, model);
   const double e_ref =
-      nonbonded_only(spec.topology, field, GetParam().kernel, spec.positions,
+      nonbonded_only(spec.topology, field, GetParam(), spec.positions,
                      spec.box)
           .energy.total();
   const double tol = 1e-6 * std::abs(e_ref) + 1e-8;
@@ -482,7 +498,7 @@ TEST_P(KernelSweep, TranslationAndRotationInvariance) {
   std::vector<Vec3> shifted(spec.positions);
   for (auto& p : shifted) p = p + Vec3{1.234, -2.345, 0.777};
   const double e_shift =
-      nonbonded_only(spec.topology, field, GetParam().kernel, shifted, spec.box)
+      nonbonded_only(spec.topology, field, GetParam(), shifted, spec.box)
           .energy.total();
   EXPECT_NEAR(e_shift, e_ref, tol) << "kernel=" << ff::to_string(GetParam().kernel);
 
@@ -492,7 +508,7 @@ TEST_P(KernelSweep, TranslationAndRotationInvariance) {
   std::vector<Vec3> rotated(spec.positions);
   for (auto& p : rotated) p = Vec3{edge - p.y, p.x, p.z};
   const double e_rot =
-      nonbonded_only(spec.topology, field, GetParam().kernel, rotated, spec.box)
+      nonbonded_only(spec.topology, field, GetParam(), rotated, spec.box)
           .energy.total();
   EXPECT_NEAR(e_rot, e_ref, tol) << "kernel=" << ff::to_string(GetParam().kernel);
 }

@@ -4,6 +4,7 @@
 // the single-host engine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "ff/forcefield.hpp"
@@ -90,8 +91,7 @@ TEST(Engine, ForcesBitIdenticalAcrossNodeCounts) {
 
     ForceResult out(spec.topology.atom_count());
     ForceResult kcache(spec.topology.atom_count());
-    engine.evaluate(positions, spec.box, 0.0, list.pairs(), true, out,
-                    kcache);
+    engine.evaluate(positions, spec.box, 0.0, true, out, kcache);
     results.push_back(std::move(out));
   }
   for (size_t k = 1; k < results.size(); ++k) {
@@ -100,6 +100,107 @@ TEST(Engine, ForcesBitIdenticalAcrossNodeCounts) {
     EXPECT_EQ(results[0].energy.vdw, results[k].energy.vdw);
     EXPECT_EQ(results[0].energy.coulomb_real, results[k].energy.coulomb_real);
     EXPECT_EQ(results[0].energy.bond, results[k].energy.bond);
+  }
+}
+
+std::array<uint64_t, 9> virial_bits(const Mat3& v) {
+  std::array<uint64_t, 9> bits{};
+  for (size_t k = 0; k < 9; ++k) bits[k] = std::bit_cast<uint64_t>(v.m[k]);
+  return bits;
+}
+
+void expect_same_energy(const EnergyBreakdown& a, const EnergyBreakdown& b) {
+  EXPECT_EQ(a.bond, b.bond);
+  EXPECT_EQ(a.angle, b.angle);
+  EXPECT_EQ(a.dihedral, b.dihedral);
+  EXPECT_EQ(a.vdw, b.vdw);
+  EXPECT_EQ(a.coulomb_real, b.coulomb_real);
+  EXPECT_EQ(a.coulomb_kspace, b.coulomb_kspace);
+  EXPECT_EQ(a.coulomb_self, b.coulomb_self);
+  EXPECT_EQ(a.pair14, b.pair14);
+  EXPECT_EQ(a.restraint, b.restraint);
+  EXPECT_EQ(a.external, b.external);
+}
+
+void expect_same_work(const machine::StepWork& a, const machine::StepWork& b) {
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (size_t n = 0; n < a.nodes.size(); ++n) {
+    const machine::NodeWork& x = a.nodes[n];
+    const machine::NodeWork& y = b.nodes[n];
+    EXPECT_EQ(x.pairs, y.pairs) << "node " << n;
+    EXPECT_EQ(x.pairs_examined, y.pairs_examined) << "node " << n;
+    EXPECT_EQ(x.cluster_tiles, y.cluster_tiles) << "node " << n;
+    EXPECT_EQ(x.cluster_lanes, y.cluster_lanes) << "node " << n;
+    EXPECT_EQ(x.gc_force_flops, y.gc_force_flops) << "node " << n;
+    EXPECT_EQ(x.gc_update_flops, y.gc_update_flops) << "node " << n;
+    EXPECT_EQ(x.import_bytes, y.import_bytes) << "node " << n;
+    EXPECT_EQ(x.export_bytes, y.export_bytes) << "node " << n;
+    EXPECT_EQ(x.messages, y.messages) << "node " << n;
+  }
+  EXPECT_EQ(a.kspace.active, b.kspace.active);
+  EXPECT_EQ(a.kspace.grid_points, b.kspace.grid_points);
+  EXPECT_EQ(a.kspace.charges, b.kspace.charges);
+  EXPECT_EQ(a.kspace.stencil_points, b.kspace.stencil_points);
+  EXPECT_EQ(a.kspace.fft_flops, b.kspace.fft_flops);
+}
+
+// One machine evaluation of 216 rigid waters with GSE on an n×n×n torus
+// with `lanes` host lanes; `positions` ends snapped to the wire format.
+struct MachineEval {
+  ForceResult out;
+  ForceResult kspace_cache;
+  machine::StepWork work;
+};
+
+MachineEval evaluate_water(const SystemSpec& spec, ForceField& field, int n,
+                           size_t lanes, std::vector<Vec3>& positions) {
+  EngineOptions options;
+  options.execution.threads = lanes;
+  DistributedEngine engine(field, machine::anton_with_torus(n, n, n), options);
+  md::NeighborList list(spec.topology, field.model().cutoff, 1.0, true);
+  positions = spec.positions;
+  list.build(positions, spec.box);
+  engine.redistribute(positions, spec.box, list.pairs(), &list.clusters());
+  MachineEval e{ForceResult(spec.topology.atom_count()),
+                ForceResult(spec.topology.atom_count()), {}};
+  e.work = engine.evaluate(positions, spec.box, 0.0, true, e.out,
+                           e.kspace_cache);
+  return e;
+}
+
+TEST(Engine, EvaluationBitIdenticalAcrossLaneCounts) {
+  auto spec = build_water_box(216, WaterModel::kRigid3Site);
+  ForceField field(spec.topology, water_model(6.0));
+  field.on_box_changed(spec.box);
+  for (int n : {2, 4}) {
+    std::vector<Vec3> positions;
+    const MachineEval ref = evaluate_water(spec, field, n, 1, positions);
+    EXPECT_TRUE(ref.work.kspace.active);
+    for (size_t lanes : {2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << n << "^3 nodes, " << lanes
+                                      << " lanes");
+      const MachineEval e = evaluate_water(spec, field, n, lanes, positions);
+      EXPECT_EQ(e.out.forces, ref.out.forces);
+      expect_same_energy(e.out.energy, ref.out.energy);
+      EXPECT_EQ(virial_bits(e.out.virial), virial_bits(ref.out.virial));
+      expect_same_work(e.work, ref.work);
+    }
+  }
+}
+
+TEST(Engine, KspaceCacheMatchesForceFieldAtSnappedPositions) {
+  auto spec = build_water_box(216, WaterModel::kRigid3Site);
+  ForceField field(spec.topology, water_model(6.0));
+  field.on_box_changed(spec.box);
+  for (size_t lanes : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    std::vector<Vec3> positions;
+    const MachineEval e = evaluate_water(spec, field, 2, lanes, positions);
+    ForceResult ref(spec.topology.atom_count());
+    field.compute_kspace(positions, spec.box, ref);
+    EXPECT_EQ(e.kspace_cache.forces, ref.forces);
+    expect_same_energy(e.kspace_cache.energy, ref.energy);
+    EXPECT_EQ(virial_bits(e.kspace_cache.virial), virial_bits(ref.virial));
   }
 }
 
@@ -118,8 +219,7 @@ TEST(Engine, MidpointRuleAlsoDeterministic) {
     list.build(positions, spec.box);
     engine.redistribute(positions, spec.box, list.pairs());
     ForceResult out(216), kcache(216);
-    engine.evaluate(positions, spec.box, 0.0, list.pairs(), true, out,
-                    kcache);
+    engine.evaluate(positions, spec.box, 0.0, true, out, kcache);
     results.push_back(std::move(out));
   }
   EXPECT_EQ(results[0].forces, results[1].forces);
@@ -135,8 +235,7 @@ TEST(Engine, WorkloadCountsCoverAllPairs) {
   list.build(positions, spec.box);
   engine.redistribute(positions, spec.box, list.pairs());
   ForceResult out(216), kcache(216);
-  auto work = engine.evaluate(positions, spec.box, 0.0, list.pairs(), true,
-                              out, kcache);
+  auto work = engine.evaluate(positions, spec.box, 0.0, true, out, kcache);
   size_t total_pairs = 0;
   for (const auto& n : work.nodes) total_pairs += n.pairs;
   EXPECT_EQ(total_pairs, list.pairs().size());
@@ -156,8 +255,7 @@ TEST(Engine, SingleNodeImportsNothing) {
   list.build(positions, spec.box);
   engine.redistribute(positions, spec.box, list.pairs());
   ForceResult out(125), kcache(125);
-  auto work = engine.evaluate(positions, spec.box, 0.0, list.pairs(), true,
-                              out, kcache);
+  auto work = engine.evaluate(positions, spec.box, 0.0, true, out, kcache);
   ASSERT_EQ(work.nodes.size(), 1u);
   EXPECT_EQ(work.nodes[0].import_bytes, 0.0);
   EXPECT_EQ(work.nodes[0].messages, 0u);
@@ -222,6 +320,48 @@ TEST(MachineSim, EnergyAgreesWithHostSimulation) {
   machine_sim.run(20);
   EXPECT_NEAR(machine_sim.potential_energy(), host.potential_energy(),
               2e-2 * std::abs(host.potential_energy()) + 0.5);
+}
+
+// A machine running a dimer in LJ solvent, built before any bias exists —
+// the order in which sampling drivers (metadynamics, TAMD) attach theirs.
+MachineSimulation dimer_machine(const SystemSpec& spec, ForceField& field) {
+  MachineSimConfig cfg;
+  cfg.dt_fs = 2.0;
+  cfg.neighbor_skin = 1.0;
+  cfg.init_temperature_k = 120.0;
+  cfg.thermostat.kind = md::ThermostatKind::kNone;
+  return MachineSimulation(field, machine::anton_with_torus(2, 2, 2),
+                           spec.positions, spec.box, cfg);
+}
+
+// U = 10 r on the dimer's two atoms.
+ff::PairBias linear_bias() {
+  return {0, 1, [](double r) { return std::pair{10.0 * r, 10.0}; }};
+}
+
+TEST(MachineSim, SeesPairBiasAddedAfterConstruction) {
+  auto spec = build_dimer_in_solvent(200, 4.0, 3);
+  ForceField field(spec.topology, lj_model(6.0));
+  MachineSimulation sim = dimer_machine(spec, field);
+  field.add_pair_bias(linear_bias());
+  sim.step();
+  ForceResult ref(spec.topology.atom_count());
+  ff::compute_pair_biases(field.pair_biases(), sim.state().positions,
+                          sim.state().box, ref);
+  EXPECT_GT(ref.energy.restraint.value(), 0.0);
+  EXPECT_EQ(sim.forces().energy.restraint, ref.energy.restraint);
+}
+
+TEST(MachineSim, ClearedPairBiasLeavesNoStaleCopy) {
+  auto spec = build_dimer_in_solvent(200, 4.0, 3);
+  ForceField field(spec.topology, lj_model(6.0));
+  field.add_pair_bias(linear_bias());
+  MachineSimulation sim = dimer_machine(spec, field);
+  sim.step();
+  EXPECT_GT(sim.forces().energy.restraint.value(), 0.0);
+  field.clear_pair_biases();
+  sim.step();
+  EXPECT_EQ(sim.forces().energy.restraint.raw(), 0);
 }
 
 TEST(MachineSim, ModeledTimeAccumulates) {

@@ -143,23 +143,13 @@ void expect_bit_identical(const EvalOut& ref, const EvalOut& got,
 }
 
 /// Every SIMD entry point this build + CPU can run, name + function.
-using ClusterKernelFn = void (*)(const ff::ClusterPairList&,
-                                 std::span<const ff::ClusterPairEntry>,
-                                 const ff::PairTableSet&, const Box&,
-                                 FixedForceArray&, EnergyBreakdown&, Mat3&,
-                                 double, double);
-std::vector<std::pair<std::string, ClusterKernelFn>> simd_variants() {
-  std::vector<std::pair<std::string, ClusterKernelFn>> v;
-#if defined(ANTMD_HAVE_SIMD_AVX2)
-  if (ff::kernel_isa_supported(ff::KernelIsa::kAvx2)) {
-    v.emplace_back("avx2", &ff::compute_cluster_entries_avx2);
+std::vector<std::pair<std::string, ff::ClusterTileLoop>> simd_variants() {
+  std::vector<std::pair<std::string, ff::ClusterTileLoop>> v;
+  for (ff::KernelIsa isa : {ff::KernelIsa::kAvx2, ff::KernelIsa::kAvx512}) {
+    if (ff::kernel_isa_supported(isa)) {
+      v.emplace_back(ff::to_string(isa), ff::cluster_tile_loop(isa));
+    }
   }
-#endif
-#if defined(ANTMD_HAVE_SIMD_AVX512)
-  if (ff::kernel_isa_supported(ff::KernelIsa::kAvx512)) {
-    v.emplace_back("avx512", &ff::compute_cluster_entries_avx512);
-  }
-#endif
   return v;
 }
 
@@ -308,12 +298,15 @@ TEST(SimdKernel, DispatchProbeAndNames) {
   EXPECT_THROW(ff::parse_kernel_isa("pentium"), ConfigError);
   EXPECT_THROW(ff::parse_kernel_isa("sse41"), ConfigError);  // removed
   EXPECT_THROW(ff::parse_kernel_isa(""), ConfigError);
-  // set_kernel_isa round-trip (restoring the entry value; a no-op when the
-  // test runs under ANTMD_FORCE_ISA, which is exactly the contract).
-  ff::set_kernel_isa(ff::KernelIsa::kScalar);
-  EXPECT_TRUE(ff::kernel_isa_supported(ff::active_kernel_isa()));
-  ff::set_kernel_isa(active);
-  EXPECT_EQ(ff::active_kernel_isa(), active);
+  // The ISA -> tile-loop table: scalar is the reference loop, and an ISA
+  // the build or CPU lacks is refused, never mapped to a fallback.
+  EXPECT_EQ(ff::cluster_tile_loop(ff::KernelIsa::kScalar),
+            &ff::compute_cluster_entries_scalar);
+  for (ff::KernelIsa isa : {ff::KernelIsa::kAvx2, ff::KernelIsa::kAvx512}) {
+    if (!ff::kernel_isa_supported(isa)) {
+      EXPECT_THROW((void)ff::cluster_tile_loop(isa), ConfigError);
+    }
+  }
 }
 
 // CI smoke: the build host must actually *run* the scalar path and the
