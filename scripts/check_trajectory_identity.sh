@@ -27,6 +27,11 @@
 #                virtual sites, the host after)
 #   machine_1node water_machine.cfg for 40 steps on nodes = 1 (one node
 #                task beside the k-space stages)
+#   flex_respa_pair flex_respa with nonbonded_kernel = pair (bonded terms
+#                and flat pairs share one force slot under RESPA's split
+#                passes)
+#   lj_pair_npt  lj_pair with barostat = berendsen (the pair path's virial
+#                drives the box)
 #
 # Usage: scripts/check_trajectory_identity.sh REV [build-dir]
 #   REV        any commit-ish (e.g. HEAD~1, a tag, a hash)
@@ -50,7 +55,7 @@ RUN_NEW="${BUILD_DIR}/examples/antmd_run"
 if [ ! -x "$RUN_NEW" ]; then
   echo "building antmd_run in ${BUILD_DIR}..."
   cmake -B "${BUILD_DIR}" -S . > /dev/null
-  cmake --build "${BUILD_DIR}" --target antmd_run -j > /dev/null
+  cmake --build "${BUILD_DIR}" --target antmd_run -j "$(nproc)" > /dev/null
 fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/antmd_traj_id.XXXXXX")"
@@ -61,7 +66,7 @@ mkdir -p "${WORK}/rev"
 git archive "$REV" | tar -x -C "${WORK}/rev"
 cmake -S "${WORK}/rev" -B "${WORK}/rev/build" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > "${WORK}/rev_build.log" 2>&1
-cmake --build "${WORK}/rev/build" --target antmd_run -j \
+cmake --build "${WORK}/rev/build" --target antmd_run -j "$(nproc)" \
   >> "${WORK}/rev_build.log" 2>&1 \
   || { echo "FAIL: building ${REV}"; tail -20 "${WORK}/rev_build.log"; \
        exit 1; }
@@ -113,6 +118,10 @@ cutoff = 6.0
 skin = 1.0
 seed = 5
 EOF
+      ;;
+    flex_respa_pair)
+      write_case flex_respa
+      echo 'nonbonded_kernel = pair'
       ;;
     bilayer_npt)
       sed -E 's/^steps[[:space:]]*=.*/steps = 60/' \
@@ -172,6 +181,10 @@ EOF
         -e 's/^nodes[[:space:]]*=.*/nodes = 1/' \
         examples/configs/water_machine.cfg
       ;;
+    lj_pair_npt)
+      write_case lj_pair
+      printf 'barostat = berendsen\npressure = 1.0\n'
+      ;;
     lj_pair|lj_cluster)
       cat <<EOF
 system = ljfluid
@@ -208,7 +221,7 @@ run_case() {  # binary label case threads -> checkpoint path
 status=0
 for name in water512 rigid4 flex_respa bilayer_npt water_mc machine \
             lj_pair lj_cluster host_nan machine_nan machine_pair \
-            machine_rigid4 machine_1node; do
+            machine_rigid4 machine_1node flex_respa_pair lj_pair_npt; do
   for threads in 1 4; do
     old="$(run_case "$RUN_OLD" rev "$name" "$threads")" || { status=1; continue; }
     new="$(run_case "$RUN_NEW" tree "$name" "$threads")" || { status=1; continue; }

@@ -19,6 +19,16 @@ size_t next_pow2(double x) {
   return n;
 }
 
+/// Base cell of a wrapped coordinate.  Box::wrap puts a finite position
+/// within a cell or so of [0, L); a corrupted one (NaN, or too large to
+/// wrap) gets cell 0, so the integer cast and the stencil offsets stay
+/// defined.  The result is garbage either way; the caller's checks catch it.
+inline long base_cell(double x, double h) {
+  constexpr double kMaxCell = 1e15;  // far below LONG_MAX - support
+  const double c = std::floor(x / h);
+  return c > -kMaxCell && c < kMaxCell ? static_cast<long>(c) : 0;
+}
+
 /// Wraps a (possibly negative) grid index into [0, n).
 inline size_t wrap_index(long i, long n) {
   long m = i % n;
@@ -123,9 +133,9 @@ struct GseSolver::Evaluation {
     for (size_t i = atoms.begin(chunk); i < atoms.end(chunk); ++i) {
       if (in.charges[i] == 0.0) continue;
       const Vec3 ri = in.box.wrap(in.pos[i]);
-      const long cx = static_cast<long>(std::floor(ri.x / hx));
-      const long cy = static_cast<long>(std::floor(ri.y / hy));
-      const long cz = static_cast<long>(std::floor(ri.z / hz));
+      const long cx = base_cell(ri.x, hx);
+      const long cy = base_cell(ri.y, hy);
+      const long cz = base_cell(ri.z, hz);
       double* wx = &weights[i * 3 * stencil];
       double* wy = wx + stencil;
       double* wz = wy + stencil;
@@ -303,9 +313,7 @@ util::TaskId GseSolver::append_stages(util::TaskGraph& graph, InputFn input,
     return [p, dir](size_t z) { fft3d_plane(p->eval->grid, z, dir); };
   };
   auto fft_columns = [p](FftDirection dir) {
-    return [p, dir](size_t y) {
-      fft3d_columns(p->eval->grid, y, 0, p->eval->nx, dir);
-    };
+    return [p, dir](size_t y) { fft3d_columns(p->eval->grid, y, dir); };
   };
 
   // The chain starts here: resolve this run's input and allocate its

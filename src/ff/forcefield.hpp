@@ -94,6 +94,9 @@ class ForceField {
   [[nodiscard]] uint64_t generation() const { return generation_; }
 
   // --- evaluation -------------------------------------------------------------
+  /// The whole system's geometry-core terms.
+  [[nodiscard]] ff::BondedTerms bonded_terms() const;
+
   /// Bonded terms + restraints + 1-4 pairs + external field over the whole
   /// system, through compute_bonded_terms.
   /// `time` is elapsed simulation time (internal units) for steered springs.
@@ -172,9 +175,6 @@ class ForceField {
   }
 
  private:
-  /// The whole system's geometry-core terms.
-  [[nodiscard]] ff::BondedTerms bonded_terms() const;
-
   const Topology* topo_;
   ff::PairTableSet tables_;
   std::unique_ptr<GseSolver> gse_;

@@ -84,8 +84,10 @@ void cluster_entries_impl(const ClusterPairList& list,
   const RadialTableView only_view =
       kSingleType ? grid.front() : RadialTableView{};
 
-  int64_t e_vdw_q = 0;
-  int64_t e_elec_q = 0;
+  // The loop's integer sums run in uint64_t so they wrap, as the SIMD
+  // kernels' vector adds do, when a corrupted input quantizes out of range.
+  uint64_t e_vdw_q = 0;
+  uint64_t e_elec_q = 0;
   // Canonical virial grouping: 8 sub-accumulators per component, indexed
   // s = (row parity)*4 + column.  Each sub-accumulator sums its own pairs
   // in entry order (rows ascending within an entry — the mask-bit walk is
@@ -101,13 +103,16 @@ void cluster_entries_impl(const ClusterPairList& list,
   // i-cluster.  The i-side quanta accumulate across the whole run and hit
   // memory once per run (~tens of tiles) instead of once per tile; integer
   // addition is order-independent, so per-atom totals are unchanged.
-  int64_t fi[kClusterWidth][3] = {};
+  uint64_t fi[kClusterWidth][3] = {};
   uint32_t run_ci = entries.empty() ? 0u : entries.front().ci;
   auto flush_fi = [&](uint32_t ci) {
     const size_t b = static_cast<size_t>(ci) * kClusterWidth;
     for (unsigned k = 0; k < kClusterWidth; ++k) {
       if ((fi[k][0] | fi[k][1] | fi[k][2]) != 0) {
-        forces.add_quanta(list.atoms[b + k], {fi[k][0], fi[k][1], fi[k][2]});
+        forces.add_quanta(list.atoms[b + k],
+                          {static_cast<int64_t>(fi[k][0]),
+                           static_cast<int64_t>(fi[k][1]),
+                           static_cast<int64_t>(fi[k][2])});
         fi[k][0] = 0; fi[k][1] = 0; fi[k][2] = 0;
       }
     }
@@ -122,7 +127,7 @@ void cluster_entries_impl(const ClusterPairList& list,
     const size_t bj = static_cast<size_t>(e.cj) * kClusterJWidth;
     // The j-side quanta stay in registers for the tile; one scatter per
     // touched slot at tile end instead of a memory round trip per pair.
-    int64_t fj[kClusterJWidth][3] = {};
+    uint64_t fj[kClusterJWidth][3] = {};
 
     for (uint64_t m = e.mask; m != 0; m &= m - 1) {
       const unsigned bit = static_cast<unsigned>(std::countr_zero(m));
@@ -151,11 +156,12 @@ void cluster_entries_impl(const ClusterPairList& list,
       double f_over_r;
       if constexpr (kUnitScale) {
         f_over_r = vdw.force_over_r;
-        e_vdw_q += fixed::quantize_round(vdw.energy, fixed::kEnergyScale);
+        e_vdw_q += static_cast<uint64_t>(
+            fixed::quantize_round(vdw.energy, fixed::kEnergyScale));
       } else {
         f_over_r = vdw.force_over_r * vdw_scale;
-        e_vdw_q += fixed::quantize_round(vdw.energy * vdw_scale,
-                                         fixed::kEnergyScale);
+        e_vdw_q += static_cast<uint64_t>(fixed::quantize_round(
+            vdw.energy * vdw_scale, fixed::kEnergyScale));
       }
       if constexpr (kHasElec) {
         double qq = charges[bi + a] * charges[bj + b];
@@ -163,17 +169,20 @@ void cluster_entries_impl(const ClusterPairList& list,
         if (qq != 0.0) {
           const RadialEval el = eval(elec, r2);
           f_over_r += qq * el.force_over_r;
-          e_elec_q +=
-              fixed::quantize_round(qq * el.energy, fixed::kEnergyScale);
+          e_elec_q += static_cast<uint64_t>(
+              fixed::quantize_round(qq * el.energy, fixed::kEnergyScale));
         }
       }
 
       const double fx = f_over_r * dx;
       const double fy = f_over_r * dy;
       const double fz = f_over_r * dz;
-      const int64_t qx = fixed::quantize_round(fx, fixed::kForceScale);
-      const int64_t qy = fixed::quantize_round(fy, fixed::kForceScale);
-      const int64_t qz = fixed::quantize_round(fz, fixed::kForceScale);
+      const auto qx = static_cast<uint64_t>(
+          fixed::quantize_round(fx, fixed::kForceScale));
+      const auto qy = static_cast<uint64_t>(
+          fixed::quantize_round(fy, fixed::kForceScale));
+      const auto qz = static_cast<uint64_t>(
+          fixed::quantize_round(fz, fixed::kForceScale));
       fi[a][0] += qx; fi[a][1] += qy; fi[a][2] += qz;
       fj[b][0] -= qx; fj[b][1] -= qy; fj[b][2] -= qz;
       const unsigned s = ((a & 1u) << 2) | b;
@@ -185,7 +194,10 @@ void cluster_entries_impl(const ClusterPairList& list,
     for (unsigned k = 0; k < kClusterJWidth; ++k) {
       // Padded slots (and untouched lanes) carry all-zero quanta.
       if ((fj[k][0] | fj[k][1] | fj[k][2]) != 0) {
-        forces.add_quanta(list.atoms[bj + k], {fj[k][0], fj[k][1], fj[k][2]});
+        forces.add_quanta(list.atoms[bj + k],
+                          {static_cast<int64_t>(fj[k][0]),
+                           static_cast<int64_t>(fj[k][1]),
+                           static_cast<int64_t>(fj[k][2])});
       }
     }
   }
@@ -198,8 +210,8 @@ void cluster_entries_impl(const ClusterPairList& list,
     v.m[k] = t;
   }
   virial += v;
-  energy.vdw.add_raw(e_vdw_q);
-  energy.coulomb_real.add_raw(e_elec_q);
+  energy.vdw.add_raw(static_cast<int64_t>(e_vdw_q));
+  energy.coulomb_real.add_raw(static_cast<int64_t>(e_elec_q));
 }
 
 void run_scalar(const ClusterPairList& list,
@@ -301,20 +313,6 @@ util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list) {
   return util::plan_chunks(list.entries.size(), kMinChunkEntries, kMaxChunks);
 }
 
-void compute_clusters_chunk(const ClusterPairList& list,
-                            const PairTableSet& tables, const Box& box,
-                            const util::ChunkPlan& plan, size_t chunk,
-                            size_t lane, double vdw_scale,
-                            double charge_product_scale) {
-  PartialSums& s = list.scratch;
-  const size_t lo = plan.begin(chunk);
-  const std::span<const ClusterPairEntry> entries(list.entries.data() + lo,
-                                                  plan.end(chunk) - lo);
-  compute_cluster_entries(list, entries, tables, box, s.lane_forces[lane],
-                          s.slot_energy[chunk], s.slot_virial[chunk],
-                          vdw_scale, charge_product_scale);
-}
-
 void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
                       std::span<const Vec3> pos, const Box& box,
                       ForceResult& out, double vdw_scale,
@@ -324,21 +322,25 @@ void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
   if (plan.chunks == 0) return;
 
   const bool fan_out = exec != nullptr && exec->parallel() && plan.chunks > 1;
-  const size_t lanes = fan_out ? exec->runtime()->lanes() : 1;
-  list.scratch.prepare(lanes, out.forces.size(), plan.chunks);
+  PartialSums& s = list.scratch;
+  s.prepare(fan_out ? exec->runtime()->lanes() : 1, out.forces.size(),
+            plan.chunks);
+  // Chunk c adds into the lane's forces and its own energy/virial slot.
+  auto run_chunk = [&](size_t c, size_t lane) {
+    const size_t lo = plan.begin(c);
+    compute_cluster_entries(
+        list, std::span(list.entries).subspan(lo, plan.end(c) - lo), tables,
+        box, s.lane_forces[lane], s.slot_energy[c], s.slot_virial[c],
+        vdw_scale, charge_product_scale);
+  };
   if (fan_out) {
     exec->parallel_for(plan.chunks, [&](size_t c) {
-      compute_clusters_chunk(list, tables, box, plan, c,
-                             util::TaskRuntime::current_lane(), vdw_scale,
-                             charge_product_scale);
+      run_chunk(c, util::TaskRuntime::current_lane());
     });
   } else {
-    for (size_t c = 0; c < plan.chunks; ++c) {
-      compute_clusters_chunk(list, tables, box, plan, c, 0, vdw_scale,
-                             charge_product_scale);
-    }
+    for (size_t c = 0; c < plan.chunks; ++c) run_chunk(c, 0);
   }
-  list.scratch.reduce(out);
+  s.reduce(out);
 }
 
 }  // namespace antmd::ff

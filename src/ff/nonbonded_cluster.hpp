@@ -161,17 +161,6 @@ void compute_cluster_entries_scalar(
 /// the same boundaries (and the same bits) at any parallelism.
 [[nodiscard]] util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list);
 
-/// Evaluates one chunk of tiles into the list's partial sums: the lane's
-/// force array and the chunk's energy/virial slot.  Chunks may run
-/// concurrently on distinct lanes; gather_cluster_coords() must have run at
-/// the current positions and list.scratch must be prepared for plan.chunks
-/// slots.
-void compute_clusters_chunk(const ClusterPairList& list,
-                            const PairTableSet& tables, const Box& box,
-                            const util::ChunkPlan& plan, size_t chunk,
-                            size_t lane, double vdw_scale = 1.0,
-                            double charge_product_scale = 1.0);
-
 /// Whole-list evaluation: gather + prepare + chunks + reduce, fanned out
 /// over `exec` when parallel.  Bit-identical to ff::compute_pairs over the
 /// source flat list in forces and energies, and bit-identical to itself at

@@ -137,13 +137,18 @@ void cluster_entries_simd(const ClusterPairList& list,
   alignas(64) int64_t lanes_i64[T::kLanes];
   alignas(64) double lanes_pd[T::kLanes];
 
-  int64_t fi[kClusterWidth][3] = {};
+  // The scalar integer sums run in uint64_t so they wrap, as the vector
+  // adds do, when a corrupted input quantizes out of range.
+  uint64_t fi[kClusterWidth][3] = {};
   uint32_t run_ci = entries.empty() ? 0u : entries.front().ci;
   auto flush_fi = [&](uint32_t ci) {
     const size_t b = static_cast<size_t>(ci) * width;
     for (unsigned k = 0; k < width; ++k) {
       if ((fi[k][0] | fi[k][1] | fi[k][2]) != 0) {
-        forces.add_quanta(list.atoms[b + k], {fi[k][0], fi[k][1], fi[k][2]});
+        forces.add_quanta(list.atoms[b + k],
+                          {static_cast<int64_t>(fi[k][0]),
+                           static_cast<int64_t>(fi[k][1]),
+                           static_cast<int64_t>(fi[k][2])});
         fi[k][0] = 0; fi[k][1] = 0; fi[k][2] = 0;
       }
     }
@@ -293,7 +298,9 @@ void cluster_entries_simd(const ClusterPairList& list,
         const auto spill_fi = [&](VI q, unsigned comp) {
           int64_t rs[T::kRows];
           T::row_sums_i64(q, rs);
-          for (unsigned r = 0; r < T::kRows; ++r) fi[a + r][comp] += rs[r];
+          for (unsigned r = 0; r < T::kRows; ++r) {
+            fi[a + r][comp] += static_cast<uint64_t>(rs[r]);
+          }
         };
         spill_fi(qx, 0);
         spill_fi(qy, 1);
@@ -315,12 +322,13 @@ void cluster_entries_simd(const ClusterPairList& list,
     }
 
     // j-side scatter, one store per touched slot (as in the scalar loop).
-    int64_t fjq[kClusterJWidth][3] = {};
+    uint64_t fjq[kClusterJWidth][3] = {};
     for (unsigned cc = 0; cc < kCC; ++cc) {
       const auto spill_fj = [&](VI q, unsigned comp) {
         T::store_i64(lanes_i64, q);
         for (unsigned l = 0; l < T::kLanes; ++l) {
-          fjq[cc * T::kCols + l % T::kCols][comp] += lanes_i64[l];
+          fjq[cc * T::kCols + l % T::kCols][comp] +=
+              static_cast<uint64_t>(lanes_i64[l]);
         }
       };
       spill_fj(fjx[cc], 0);
@@ -330,7 +338,9 @@ void cluster_entries_simd(const ClusterPairList& list,
     for (unsigned k = 0; k < kClusterJWidth; ++k) {
       if ((fjq[k][0] | fjq[k][1] | fjq[k][2]) != 0) {
         forces.add_quanta(list.atoms[bj + k],
-                          {fjq[k][0], fjq[k][1], fjq[k][2]});
+                          {static_cast<int64_t>(fjq[k][0]),
+                           static_cast<int64_t>(fjq[k][1]),
+                           static_cast<int64_t>(fjq[k][2])});
       }
     }
   }
@@ -357,14 +367,18 @@ void cluster_entries_simd(const ClusterPairList& list,
   }
   virial += v;
 
-  int64_t e_vdw_q = 0;
-  int64_t e_elec_q = 0;
+  uint64_t e_vdw_q = 0;
+  uint64_t e_elec_q = 0;
   T::store_i64(lanes_i64, acc_ev);
-  for (unsigned l = 0; l < T::kLanes; ++l) e_vdw_q += lanes_i64[l];
+  for (unsigned l = 0; l < T::kLanes; ++l) {
+    e_vdw_q += static_cast<uint64_t>(lanes_i64[l]);
+  }
   T::store_i64(lanes_i64, acc_ee);
-  for (unsigned l = 0; l < T::kLanes; ++l) e_elec_q += lanes_i64[l];
-  energy.vdw.add_raw(e_vdw_q);
-  energy.coulomb_real.add_raw(e_elec_q);
+  for (unsigned l = 0; l < T::kLanes; ++l) {
+    e_elec_q += static_cast<uint64_t>(lanes_i64[l]);
+  }
+  energy.vdw.add_raw(static_cast<int64_t>(e_vdw_q));
+  energy.coulomb_real.add_raw(static_cast<int64_t>(e_elec_q));
 }
 
 /// Shared per-TU entry: resolves has_elec at runtime into the two template

@@ -29,7 +29,7 @@ void transform_line(std::vector<Complex>& line, FftDirection dir) {
 void transform(Grid3D& grid, FftDirection dir) {
   for (size_t z = 0; z < grid.nz(); ++z) fft3d_plane(grid, z, dir);
   for (size_t y = 0; y < grid.ny(); ++y) {
-    fft3d_columns(grid, y, 0, grid.nx(), dir);
+    fft3d_columns(grid, y, dir);
   }
 }
 
@@ -50,10 +50,9 @@ void fft3d_plane(Grid3D& g, size_t z, FftDirection dir) {
   }
 }
 
-void fft3d_columns(Grid3D& g, size_t y, size_t x_begin, size_t x_end,
-                   FftDirection dir) {
+void fft3d_columns(Grid3D& g, size_t y, FftDirection dir) {
   std::vector<Complex> line(g.nz());
-  for (size_t x = x_begin; x < x_end; ++x) {
+  for (size_t x = 0; x < g.nx(); ++x) {
     for (size_t z = 0; z < g.nz(); ++z) line[z] = g.at(x, y, z);
     transform_line(line, dir);
     for (size_t z = 0; z < g.nz(); ++z) g.at(x, y, z) = line[z];

@@ -53,8 +53,8 @@ void fft3d_forward(Grid3D& grid);
 /// In-place 3D inverse transform (normalized).
 void fft3d_inverse(Grid3D& grid);
 
-// The two halves of a 3D transform, as the kernels that the serial, the
-// slab-distributed and the task-graph transforms all loop over.  Every 1D
+// The two halves of a 3D transform, as the kernels that the serial and the
+// task-graph transforms both loop over.  Every 1D
 // line is transformed independently in place, so running the planes (or
 // the columns) in any order or in parallel gives the same bits; only
 // "all planes before any column" matters.
@@ -62,9 +62,8 @@ enum class FftDirection { kForward, kInverse };
 
 /// Transforms the x lines and then the y lines of z-plane `z`.
 void fft3d_plane(Grid3D& grid, size_t z, FftDirection dir);
-/// Transforms the z lines through row `y` for x in [x_begin, x_end).
-void fft3d_columns(Grid3D& grid, size_t y, size_t x_begin, size_t x_end,
-                   FftDirection dir);
+/// Transforms the z lines through row `y`.
+void fft3d_columns(Grid3D& grid, size_t y, FftDirection dir);
 
 /// Communication/compute volume of one distributed 3D FFT (forward or
 /// inverse) on `nodes` ranks using two all-to-all transposes, in the style

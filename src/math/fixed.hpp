@@ -34,18 +34,28 @@ inline int64_t quantize(double v, double scale) {
   return std::llround(v * scale);
 }
 
-/// Bit-for-bit equal to quantize(), computed with the hardware round
-/// instruction instead of the libm llround call (which most compilers
-/// cannot inline because no instruction rounds ties away from zero).
-/// nearbyint rounds ties to even, so the only inputs where the two differ
-/// are exact .5 ties; t - nearbyint(t) is computed exactly whenever
-/// |t - nearbyint(t)| <= 0.5 (Sterbenz), so the tie test below is exact
-/// and the correction restores llround's away-from-zero behaviour.
+/// cvttsd2si's double -> int64 conversion, defined for every input:
+/// in-range values truncate toward zero, and NaN or anything outside
+/// int64's range gives INT64_MIN (the instruction's "integer indefinite",
+/// which the SIMD kernels' vector conversions return too).
+inline int64_t truncate_i64(double r) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  return r >= -kTwo63 && r < kTwo63 ? static_cast<int64_t>(r) : INT64_MIN;
+}
+
+/// Bit-for-bit equal to quantize() on every input llround can represent,
+/// computed with the hardware round instruction instead of the libm
+/// llround call (which most compilers cannot inline because no instruction
+/// rounds ties away from zero).  nearbyint rounds ties to even, so the only
+/// inputs where the two differ are exact .5 ties; t - nearbyint(t) is
+/// computed exactly whenever |t - nearbyint(t)| <= 0.5 (Sterbenz), so the
+/// tie test below is exact and the correction restores llround's
+/// away-from-zero behaviour.  NaN and out-of-range input give INT64_MIN.
 /// Hot kernels use this; everything else keeps the libm spelling.
 inline int64_t quantize_round(double v, double scale) {
   const double t = v * scale;
   const double r = std::nearbyint(t);
-  auto q = static_cast<int64_t>(r);
+  auto q = truncate_i64(r);
   const double d = t - r;
   if (d == 0.5 && t > 0.0) {
     ++q;  // e.g. 2.5: nearbyint gives 2, llround gives 3
@@ -54,6 +64,20 @@ inline int64_t quantize_round(double v, double scale) {
   }
   return q;
 }
+/// int64 addition and subtraction that wrap (two's complement, as the SIMD
+/// kernels' vector adds do) instead of being undefined on overflow: a
+/// corrupted input can quantize out of range, and the sums it reaches must
+/// stay defined for the checks that catch it.  In range they are plain
+/// `+` and `-`.
+inline int64_t wrap_add(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t wrap_sub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+
 inline double dequantize(int64_t q, double scale) {
   return static_cast<double>(q) / scale;
 }
@@ -97,21 +121,23 @@ class FixedForceArray {
 
   /// Adds force f to atom i (quantized).
   void add(size_t i, const Vec3& f) {
-    auto& t = data_[i];
-    t[0] += fixed::quantize(f.x, fixed::kForceScale);
-    t[1] += fixed::quantize(f.y, fixed::kForceScale);
-    t[2] += fixed::quantize(f.z, fixed::kForceScale);
+    add_quanta(i, {fixed::quantize(f.x, fixed::kForceScale),
+                   fixed::quantize(f.y, fixed::kForceScale),
+                   fixed::quantize(f.z, fixed::kForceScale)});
   }
 
   /// Adds +f to atom i and the bit-exact opposite to atom j.
   void add_pair(size_t i, size_t j, const Vec3& f) {
-    int64_t qx = fixed::quantize(f.x, fixed::kForceScale);
-    int64_t qy = fixed::quantize(f.y, fixed::kForceScale);
-    int64_t qz = fixed::quantize(f.z, fixed::kForceScale);
+    const std::array<int64_t, 3> q = {
+        fixed::quantize(f.x, fixed::kForceScale),
+        fixed::quantize(f.y, fixed::kForceScale),
+        fixed::quantize(f.z, fixed::kForceScale)};
     auto& ti = data_[i];
-    ti[0] += qx; ti[1] += qy; ti[2] += qz;
     auto& tj = data_[j];
-    tj[0] -= qx; tj[1] -= qy; tj[2] -= qz;
+    for (size_t k = 0; k < 3; ++k) {
+      ti[k] = fixed::wrap_add(ti[k], q[k]);
+      tj[k] = fixed::wrap_sub(tj[k], q[k]);
+    }
   }
 
   /// Element-wise merge of another accumulator (a modeled reduction).
@@ -128,7 +154,7 @@ class FixedForceArray {
   }
   void add_quanta(size_t i, const std::array<int64_t, 3>& q) {
     auto& t = data_[i];
-    t[0] += q[0]; t[1] += q[1]; t[2] += q[2];
+    for (size_t k = 0; k < 3; ++k) t[k] = fixed::wrap_add(t[k], q[k]);
   }
   void set_quanta(size_t i, const std::array<int64_t, 3>& q) { data_[i] = q; }
 
@@ -154,11 +180,11 @@ class FixedScalar {
  public:
   FixedScalar() = default;
 
-  void add(double v) { q_ += fixed::quantize(v, fixed::kEnergyScale); }
+  void add(double v) { add_raw(fixed::quantize(v, fixed::kEnergyScale)); }
   /// Adds pre-quantized energy quanta (kernels that batch per-pair quanta
   /// in a local int64 and flush once — same integer sum as per-pair add()).
-  void add_raw(int64_t q) { q_ += q; }
-  void merge(const FixedScalar& o) { q_ += o.q_; }
+  void add_raw(int64_t q) { q_ = fixed::wrap_add(q_, q); }
+  void merge(const FixedScalar& o) { add_raw(o.q_); }
   [[nodiscard]] double value() const {
     return fixed::dequantize(q_, fixed::kEnergyScale);
   }

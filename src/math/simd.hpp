@@ -13,8 +13,8 @@
 // instruction on the same operands as the scalar kernel — the SIMD TUs are
 // compiled with -ffp-contract=off so no mul/add pair fuses into an FMA —
 // and the int64 truncating conversion matches cvttsd2si lane for lane
-// (including the 0x8000... indefinite result on overflow, which is what
-// the scalar static_cast compiles to on x86-64).  Under that contract the
+// (including the 0x8000... indefinite result on overflow, which the scalar
+// path's fixed::truncate_i64 returns too).  Under that contract the
 // kernels are bit-identical to the scalar path for every input.
 //
 // Types:
@@ -26,6 +26,8 @@
 #pragma once
 
 #include <cstdint>
+
+#include "math/fixed.hpp"
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -120,7 +122,7 @@ struct Avx2Traits {
   /// Truncating double -> int64, cvttsd2si semantics per lane.  Callers
   /// only pass integral values (quantize_round rounds first), so the
   /// magic-number bias conversion is exact whenever |v| < 2^51; larger,
-  /// non-finite, or indefinite lanes take the scalar instruction itself.
+  /// non-finite, or indefinite lanes take the scalar conversion.
   static VI cvtt_i64(VD v) {
     const __m256d magic = _mm256_set1_pd(6755399441055744.0);  // 2^52 + 2^51
     const __m256d limit = _mm256_set1_pd(2251799813685248.0);  // 2^51
@@ -133,8 +135,8 @@ struct Avx2Traits {
     alignas(32) double t[kLanes];
     _mm256_store_pd(t, v);
     return _mm256_set_epi64x(
-        static_cast<int64_t>(t[3]), static_cast<int64_t>(t[2]),
-        static_cast<int64_t>(t[1]), static_cast<int64_t>(t[0]));
+        fixed::truncate_i64(t[3]), fixed::truncate_i64(t[2]),
+        fixed::truncate_i64(t[1]), fixed::truncate_i64(t[0]));
   }
   static VI zero_i64() { return _mm256_setzero_si256(); }
   static VI add_i64(VI a, VI b) { return _mm256_add_epi64(a, b); }

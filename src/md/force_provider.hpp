@@ -5,9 +5,11 @@
 // barostat, COM removal, observers, the physics checkpoint); a provider
 // fills a ForceResult for a requested term set and owns everything it
 // derives from positions (neighbor list, cluster tiles, node partitions).
-// The host provider is the per-step task graph (md/simulation.cpp); the
-// modeled machine's provider wraps runtime::DistributedEngine and its
-// timing and transport accounting (runtime/machine_sim.hpp).
+// Both providers evaluate through one md::ForceGraph (md/force_graph.hpp):
+// the host's (md/simulation.cpp) with the system's bonded terms and tile
+// chunks as slots, the modeled machine's (runtime/machine_sim.hpp) through
+// runtime::DistributedEngine with one slot per node, plus its timing and
+// transport accounting.
 #pragma once
 
 #include "ff/forcefield.hpp"

@@ -5,11 +5,11 @@
 
 #include "ff/nonbonded_simd.hpp"
 #include "math/units.hpp"
+#include "md/force_graph.hpp"
 #include "md/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 
 namespace antmd::md {
 
@@ -92,25 +92,27 @@ void SimulationConfig::validate() const {
 
 namespace {
 
-// The host's force provider: one evaluation is a task graph over the step's
-// force work, built once and rerun for every evaluation.  Dependency
-// structure encodes the data flow: bonded and k-space need only final
-// positions (virtual sites), the nonbonded kernel also needs the neighbor
-// list, so on rebuild steps bonded and k-space overlap the rebuild instead
-// of waiting behind it.  Every order-sensitive sum has a fixed place —
-// the pair kernel runs behind the bonded task, cluster chunks fold in
-// ascending order, and the k-space cache merge, virtual-site force spread
-// and fault poll live in the single reduction task — so the result is
-// bit-identical at any lane count.
+// The host's force provider.  The neighbor list is updated first (its
+// rebuild fans out over the lanes itself), then the force graph runs one
+// slot with the whole system's bonded terms — and every flat pair under the
+// pair kernel — and one slot per tile chunk.  Slot 0 merges first, so the
+// bonded virial sums exactly as if the terms were added straight into the
+// result, and the chunk boundaries depend on the tile count alone.
 class StepGraphForces final : public ForceProvider {
  public:
   StepGraphForces(ForceField& ff, const SimulationConfig& config)
       : ff_(&ff),
         nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
                config.nonbonded_kernel == ff::NonbondedKernel::kCluster),
-        exec_(ExecutionContext::create(config.execution)) {
+        exec_(ExecutionContext::create(config.execution)),
+        graph_(ff, exec_->runtime(),
+               {.graph = "md.step",
+                .slots = "md.nonbonded",
+                .reduce = "md.reduce",
+                .kspace_ns = &md_metrics().kspace_ns,
+                .bonded_ns = &md_metrics().bonded_ns,
+                .nonbonded_ns = &md_metrics().nonbonded_ns}) {
     nlist_.set_execution(exec_);
-    build_graph();
   }
 
   void init(State& state, const SimulationConfig& /*config*/) override {
@@ -125,10 +127,37 @@ class StepGraphForces final : public ForceProvider {
 
   void compute(State& state, const ForceRequest& request, ForceResult& out,
                ForceResult& kspace_cache) override {
-    out.reset(ff_->topology().atom_count());
-    call_ = Call{&state, request, &out, &kspace_cache};
-    graph_->run();
-    call_ = Call{};
+    // The bonded-only pass integrates on the standing list.
+    const bool nonbonded = request.terms != ForceTerms::kBonded;
+    if (nonbonded) nlist_.update(state.positions, state.box);
+
+    const bool cluster = nlist_.cluster_mode();
+    const ff::ClusterPairList* tiles = cluster ? &nlist_.clusters() : nullptr;
+    slots_.assign(1, ForceSlot{ff_->bonded_terms(),
+                               cluster ? std::span<const ff::PairEntry>{}
+                                       : nlist_.pairs(),
+                               {}});
+    if (tiles != nullptr) {
+      const util::ChunkPlan plan = ff::cluster_chunk_plan(*tiles);
+      const std::span<const ff::ClusterPairEntry> entries = tiles->entries;
+      for (size_t c = 0; c < plan.chunks; ++c) {
+        const size_t lo = plan.begin(c);
+        slots_.push_back({{}, {}, entries.subspan(lo, plan.end(c) - lo)});
+      }
+    }
+    graph_.run({state.positions, state.box, state.time, request.terms,
+                request.kspace_due, slots_, tiles, &out, &kspace_cache});
+    if (!nonbonded) return;
+
+    poll_force_fault(out);
+    if (obs::enabled()) {
+      md_metrics().nonbonded_kernel.set(cluster ? 1.0 : 0.0);
+      if (cluster) {
+        md_metrics().cluster_fill.set(tiles->fill_ratio());
+        md_metrics().nonbonded_isa.set(
+            static_cast<double>(ff::active_kernel_isa()));
+      }
+    }
   }
 
   [[nodiscard]] const NeighborList& neighbor_list() const override {
@@ -136,165 +165,12 @@ class StepGraphForces final : public ForceProvider {
   }
 
  private:
-  // Per-run parameters the task bodies read.
-  struct Call {
-    State* state = nullptr;
-    ForceRequest request;
-    ForceResult* out = nullptr;
-    ForceResult* kspace_cache = nullptr;
-  };
-
-  [[nodiscard]] bool with_bonded() const {
-    return call_.request.terms != ForceTerms::kNonbonded;
-  }
-  [[nodiscard]] bool with_nonbonded() const {
-    return call_.request.terms != ForceTerms::kBonded;
-  }
-
-  void build_graph();
-
   ForceField* ff_;
   NeighborList nlist_;
   std::shared_ptr<ExecutionContext> exec_;
-  std::unique_ptr<util::TaskGraph> graph_;
-  util::ChunkPlan nb_plan_;  ///< tile chunk partition, refreshed per run
-  Call call_;
+  ForceGraph graph_;
+  std::vector<ForceSlot> slots_;  ///< refreshed per evaluation
 };
-
-void StepGraphForces::build_graph() {
-  graph_ = std::make_unique<util::TaskGraph>(exec_->runtime(), "md.step");
-  util::TaskGraph& g = *graph_;
-  const bool have_vsites = !ff_->topology().virtual_sites().empty();
-  const bool cluster = nlist_.cluster_mode();
-
-  // The bonded-only pass integrates on the standing list.
-  const util::TaskId t_nlist = g.add("md.nlist", [this] {
-    if (with_nonbonded()) {
-      nlist_.update(call_.state->positions, call_.state->box);
-    }
-  });
-  // Tasks that read final positions: behind vsite construction when there
-  // are virtual sites (which must in turn see the neighbor list's view of
-  // the previous vsite positions), unblocked from the start otherwise.
-  std::vector<util::TaskId> after_pos;
-  util::TaskId t_list_ready = t_nlist;
-  if (have_vsites) {
-    const util::TaskId t_vsites = g.add(
-        "md.vsites",
-        [this] {
-          ff::construct_virtual_sites(ff_->topology().virtual_sites(),
-                                      call_.state->positions,
-                                      call_.state->box);
-        },
-        {t_nlist});
-    after_pos = {t_vsites};
-    t_list_ready = t_vsites;
-  }
-
-  const util::TaskId t_bonded = g.add(
-      "md.bonded",
-      [this] {
-        if (!with_bonded()) return;
-        obs::ScopedTimer timer(md_metrics().bonded_ns);
-        ff_->compute_bonded(call_.state->positions, call_.state->box,
-                            call_.state->time, *call_.out);
-      },
-      after_pos);
-
-  // Reciprocal space as its stage chain (stencil → spread → FFT → convolve
-  // → inverse FFT → interpolate → finish), fanned out beside the tiles.
-  // Systems without k-space get no stages at all.
-  std::vector<util::TaskId> reduce_deps = {t_bonded};
-  if (ff_->has_kspace()) {
-    reduce_deps.push_back(ff_->gse()->append_stages(
-        g,
-        [this]() -> std::optional<GseInput> {
-          if (!call_.request.kspace_due) return std::nullopt;
-          call_.kspace_cache->reset(ff_->topology().atom_count());
-          return GseInput{call_.state->positions, ff_->kspace_charges(),
-                          ff_->excluded_pairs(),  call_.state->box,
-                          call_.kspace_cache,     &md_metrics().kspace_ns};
-        },
-        after_pos));
-  }
-
-  if (cluster) {
-    const util::TaskId t_gather = g.add(
-        "md.nb.gather",
-        [this] {
-          if (!with_nonbonded()) {
-            nb_plan_ = {};
-            return;
-          }
-          obs::ScopedTimer timer(md_metrics().nonbonded_ns);
-          const ff::ClusterPairList& list = nlist_.clusters();
-          ff::gather_cluster_coords(list, call_.state->positions);
-          nb_plan_ = ff::cluster_chunk_plan(list);
-          list.scratch.prepare(graph_->lanes(), ff_->topology().atom_count(),
-                               nb_plan_.chunks);
-        },
-        {t_list_ready});
-    reduce_deps.push_back(g.add_parallel(
-        "md.nonbonded", [this] { return nb_plan_.chunks; },
-        [this](size_t chunk) {
-          obs::ScopedTimer timer(md_metrics().nonbonded_ns);
-          ff::compute_clusters_chunk(nlist_.clusters(), ff_->tables(),
-                                     call_.state->box, nb_plan_, chunk,
-                                     util::TaskRuntime::current_lane(),
-                                     ff_->vdw_scale(),
-                                     ff_->charge_product_scale());
-        },
-        {t_gather}));
-  } else {
-    // The flat pair kernel adds straight into the result, behind the
-    // bonded terms, so its virial sums in the same order as always.
-    reduce_deps.push_back(g.add(
-        "md.nonbonded",
-        [this] {
-          if (!with_nonbonded()) return;
-          obs::ScopedTimer timer(md_metrics().nonbonded_ns);
-          ff_->compute_nonbonded(nlist_.pairs(), call_.state->positions,
-                                 call_.state->box, *call_.out);
-        },
-        {t_bonded, t_list_ready}));
-  }
-
-  g.add_reduction(
-      "md.reduce",
-      [this, cluster] {
-        ForceResult& out = *call_.out;
-        const bool nonbonded = with_nonbonded();
-        if (cluster && nonbonded) {
-          nlist_.clusters().scratch.reduce(out);
-        }
-        if (nonbonded) out.merge(*call_.kspace_cache);
-        ff::spread_virtual_site_forces(ff_->topology().virtual_sites(),
-                                       call_.state->positions,
-                                       call_.state->box, out.forces);
-        if (!nonbonded) return;
-        // Force-poison injection point, once per evaluation except the
-        // bonded-only pass, deliberately inside the graph: the reduction
-        // runs on whichever lane picks it up, so a kNanForce plan fires
-        // from a worker thread — the fault registry's thread-safety
-        // contract.
-        uint64_t poison_atom = 0;
-        if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-          out.forces.set_quanta(
-              poison_atom % ff_->topology().atom_count(),
-              {fault::kPoisonQuanta, fault::kPoisonQuanta,
-               fault::kPoisonQuanta});
-        }
-        if (obs::enabled()) {
-          md_metrics().nonbonded_kernel.set(cluster ? 1.0 : 0.0);
-          if (cluster) {
-            md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
-            md_metrics().nonbonded_isa.set(
-                static_cast<double>(ff::active_kernel_isa()));
-          }
-        }
-      },
-      reduce_deps);
-}
 
 std::unique_ptr<ForceProvider> step_graph_forces(ForceField& ff,
                                                  const SimulationConfig& c) {

@@ -188,8 +188,10 @@ class TracePhase {
 /// event) — for spots too hot or too numerous to appear on a timeline.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Counter& accum_ns)
-      : accum_(&accum_ns), live_(enabled()) {
+  explicit ScopedTimer(Counter& accum_ns) : ScopedTimer(&accum_ns) {}
+  /// A null counter times nothing.
+  explicit ScopedTimer(Counter* accum_ns)
+      : accum_(accum_ns), live_(accum_ns != nullptr && enabled()) {
     if (live_) start_us_ = now_us();
   }
   ~ScopedTimer() {

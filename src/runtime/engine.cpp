@@ -54,7 +54,15 @@ DistributedEngine::DistributedEngine(ForceField& ff,
       torus_(config),
       options_(options),
       decomp_(torus_, Box()),
-      exec_(ExecutionContext::create(options.execution)) {}
+      exec_(ExecutionContext::create(options.execution)),
+      graph_(ff, exec_->runtime(),
+             {.graph = "runtime.evaluate",
+              .slots = "runtime.node_eval",
+              .reduce = "runtime.reduce",
+              .kspace_ns = &engine_metrics().kspace_ns,
+              .slot_tracks = kNodeTrackBase,
+              .slot_ns = &engine_metrics().node_eval_ns,
+              .slot_count = &engine_metrics().node_evals}) {}
 
 void DistributedEngine::redistribute(std::span<const Vec3> positions,
                                      const Box& box,
@@ -147,7 +155,24 @@ void DistributedEngine::redistribute(std::span<const Vec3> positions,
     parts_[owner(i)].owned_atoms.push_back(i);
   }
 
-  fill_comm_counts(positions, box);
+  fill_node_work();
+  slots_.clear();
+  for (const NodePartition& part : parts_) {
+    slots_.push_back({part.terms(), part.pairs, part.cluster_entries});
+  }
+  kspace_work_ = {};
+  if (ff_->has_kspace()) {
+    size_t charged = 0;
+    for (double q : topo.charges()) {
+      if (q != 0.0) ++charged;
+    }
+    const GseWorkload gw = ff_->gse()->workload(charged);
+    kspace_work_ = {.active = true,
+                    .grid_points = gw.grid_points,
+                    .charges = gw.charges,
+                    .stencil_points = gw.spread_stencil_points,
+                    .fft_flops = gw.fft_flops};
+  }
 
   if (obs::enabled()) {
     engine_metrics().alive_nodes.set(
@@ -162,15 +187,16 @@ void DistributedEngine::redistribute(std::span<const Vec3> positions,
   }
 }
 
-void DistributedEngine::fill_comm_counts(std::span<const Vec3> /*positions*/,
-                                         const Box& /*box*/) {
+void DistributedEngine::fill_node_work() {
   const auto& owners = decomp_.owners();
   auto owner = [&](uint32_t atom) { return effective_node(owners[atom]); };
   constexpr double kPosBytes = 12.0;    // 3 × int32 fixed-point position
   constexpr double kForceBytes = 12.0;  // 3 × int32 force quanta
 
+  node_work_.assign(parts_.size(), machine::NodeWork{});
   for (size_t n = 0; n < parts_.size(); ++n) {
-    NodePartition& part = parts_[n];
+    const NodePartition& part = parts_[n];
+    machine::NodeWork& nw = node_work_[n];
     std::unordered_set<uint32_t> imported;
     std::unordered_set<uint32_t> sources;
     auto need = [&](uint32_t atom) {
@@ -217,73 +243,45 @@ void DistributedEngine::fill_comm_counts(std::span<const Vec3> /*positions*/,
       need(v.site); need(v.parents[0]); need(v.parents[1]);
       if (v.kind == VirtualSite::Kind::kPlanar3) need(v.parents[2]);
     }
-    part.import_bytes = static_cast<double>(imported.size()) * kPosBytes;
+    nw.import_bytes = static_cast<double>(imported.size()) * kPosBytes;
     // Forces computed here for non-owned atoms travel back.
-    part.export_bytes = static_cast<double>(imported.size()) * kForceBytes;
-    part.messages = sources.size();
-  }
-}
+    nw.export_bytes = static_cast<double>(imported.size()) * kForceBytes;
+    nw.messages = sources.size();
 
-void DistributedEngine::evaluate_node(const NodePartition& part,
-                                      std::span<const Vec3> positions,
-                                      const Box& box, double time,
-                                      ForceResult& partial,
-                                      machine::NodeWork& nw) const {
-  const Topology& topo = ff_->topology();
-  const auto& tables = ff_->tables();
-
-  ff_->compute_bonded_terms(part.terms(), positions, box, time, partial);
-  if (clusters_ != nullptr) {
-    // Gather already ran once in evaluate(); per-node virials accumulate
-    // sequentially within the node, and the ascending-node merge keeps the
-    // total thread-invariant.
-    ff::compute_cluster_entries(*clusters_, part.cluster_entries, tables, box,
-                                partial.forces, partial.energy, partial.virial,
-                                ff_->vdw_scale(),
-                                ff_->charge_product_scale());
-  } else {
-    ff::compute_pairs(part.pairs, tables, topo.type_ids(), topo.charges(),
-                      positions, box, partial, ff_->vdw_scale(),
-                      ff_->charge_product_scale());
+    if (clusters_ != nullptr) {
+      nw.pairs = part.cluster_real_pairs;
+      nw.pairs_examined = part.cluster_real_pairs;
+      nw.cluster_tiles = part.cluster_entries.size();
+      nw.cluster_lanes = part.cluster_entries.size() * clusters_->width *
+                         ff::kClusterJWidth;
+    } else {
+      nw.pairs = part.pairs.size();
+      nw.pairs_examined = part.pairs.size();
+    }
+    nw.gc_force_flops =
+        part.bonds.size() * costs_.bond + part.angles.size() * costs_.angle +
+        part.dihedrals.size() * costs_.dihedral +
+        part.morse_bonds.size() * costs_.bond +
+        part.urey_bradleys.size() * costs_.bond +
+        part.impropers.size() * costs_.dihedral +
+        part.go_contacts.size() * costs_.pair14 +
+        part.dihedral_biases.size() * costs_.dihedral +
+        part.pairs14.size() * costs_.pair14 +
+        part.pos_restraints.size() * costs_.restraint +
+        part.dist_restraints.size() * costs_.restraint +
+        part.springs.size() * costs_.steered_spring +
+        part.biases.size() * costs_.steered_spring +
+        (ff_->external_field()
+             ? part.owned_atoms.size() * costs_.external_field_atom
+             : 0.0) +
+        part.vsites.size() * costs_.vsite_construct;
+    // Update phase: integration + thermostat + constraints + vsite spread.
+    nw.gc_update_flops =
+        part.owned_atoms.size() *
+            (costs_.integrate_atom + costs_.thermostat_atom) +
+        part.constraint_count * 3.0 * costs_.constraint_iteration +
+        part.vsites.size() * costs_.vsite_spread;
   }
-
-  // --- workload accounting -------------------------------------------------
-  if (clusters_ != nullptr) {
-    nw.pairs = part.cluster_real_pairs;
-    nw.pairs_examined = part.cluster_real_pairs;
-    nw.cluster_tiles = part.cluster_entries.size();
-    nw.cluster_lanes = part.cluster_entries.size() * clusters_->width *
-                       ff::kClusterJWidth;
-  } else {
-    nw.pairs = part.pairs.size();
-    nw.pairs_examined = part.pairs.size();
-  }
-  nw.gc_force_flops =
-      part.bonds.size() * costs_.bond + part.angles.size() * costs_.angle +
-      part.dihedrals.size() * costs_.dihedral +
-      part.morse_bonds.size() * costs_.bond +
-      part.urey_bradleys.size() * costs_.bond +
-      part.impropers.size() * costs_.dihedral +
-      part.go_contacts.size() * costs_.pair14 +
-      part.dihedral_biases.size() * costs_.dihedral +
-      part.pairs14.size() * costs_.pair14 +
-      part.pos_restraints.size() * costs_.restraint +
-      part.dist_restraints.size() * costs_.restraint +
-      part.springs.size() * costs_.steered_spring +
-      part.biases.size() * costs_.steered_spring +
-      (ff_->external_field()
-           ? part.owned_atoms.size() * costs_.external_field_atom
-           : 0.0) +
-      part.vsites.size() * costs_.vsite_construct;
-  // Update phase: integration + thermostat + constraints + vsite spread.
-  nw.gc_update_flops =
-      part.owned_atoms.size() *
-          (costs_.integrate_atom + costs_.thermostat_atom) +
-      part.constraint_count * 3.0 * costs_.constraint_iteration +
-      part.vsites.size() * costs_.vsite_spread;
-  nw.import_bytes = part.import_bytes;
-  nw.export_bytes = part.export_bytes;
-  nw.messages = part.messages;
 }
 
 void DistributedEngine::set_node_failed(size_t node, bool failed) {
@@ -320,93 +318,16 @@ machine::StepWork DistributedEngine::evaluate(std::span<Vec3> positions,
   ANTMD_REQUIRE(!parts_.empty(), "redistribute() must run before evaluate()");
   obs::TracePhase eval_phase("runtime.evaluate", "runtime",
                              &engine_metrics().evaluate_ns);
-  const Topology& topo = ff_->topology();
 
   // Position multicast: every consumer sees the fixed-point wire format.
   for (auto& p : positions) p = snap_position(p);
+  graph_.run({positions, box, time, md::ForceTerms::kAll, kspace_due, slots_,
+              clusters_, &out, &kspace_cache});
 
-  ff::construct_virtual_sites(topo.virtual_sites(), positions, box);
-  // One SoA gather serves every node's tile slice this step.
-  if (clusters_ != nullptr) ff::gather_cluster_coords(*clusters_, positions);
-
-  out.reset(topo.atom_count());
   machine::StepWork work;
-  work.nodes.resize(parts_.size());
-
-  if (!eval_graph_) build_eval_graph();
-  sums_.prepare(eval_graph_->lanes(), topo.atom_count(), parts_.size());
-  call_ = EvalCall{positions, &box,           time, kspace_due,
-                   &out,      &kspace_cache, &work};
-  eval_graph_->run();
-  call_ = EvalCall{};
+  work.nodes = node_work_;
+  if (kspace_due) work.kspace = kspace_work_;
   return work;
-}
-
-void DistributedEngine::run_node(size_t n) const {
-  obs::TracePhase node_phase("runtime.node_eval", "runtime",
-                             &engine_metrics().node_eval_ns, /*track=*/
-                             kNodeTrackBase + static_cast<int64_t>(n), "node",
-                             static_cast<int64_t>(n));
-  engine_metrics().node_evals.add();
-  // The kernels add into a ForceResult: lend it the lane's force array for
-  // this node, and keep the node's energy and virial apart in its slot.
-  FixedForceArray& lane = sums_.lane_forces[util::TaskRuntime::current_lane()];
-  ForceResult partial;
-  partial.forces = std::move(lane);
-  evaluate_node(parts_[n], call_.positions, *call_.box, call_.time, partial,
-                call_.work->nodes[n]);
-  lane = std::move(partial.forces);
-  sums_.slot_energy[n] = partial.energy;
-  sums_.slot_virial[n] = partial.virial;
-}
-
-void DistributedEngine::build_eval_graph() const {
-  eval_graph_ =
-      std::make_unique<util::TaskGraph>(exec_->runtime(), "runtime.evaluate");
-  util::TaskGraph& g = *eval_graph_;
-
-  std::vector<util::TaskId> reduce_deps = {g.add_parallel(
-      "runtime.node_eval", [this] { return parts_.size(); },
-      [this](size_t n) { run_node(n); })};
-
-  // Reciprocal space as GSE's stage chain, beside the node tasks; its
-  // workload is charged to the timing model on the evaluations that run it.
-  if (ff_->has_kspace()) {
-    reduce_deps.push_back(ff_->gse()->append_stages(
-        g, [this]() -> std::optional<GseInput> {
-          if (!call_.kspace_due) return std::nullopt;
-          size_t charged = 0;
-          for (double q : ff_->topology().charges()) {
-            if (q != 0.0) ++charged;
-          }
-          const GseWorkload gw = ff_->gse()->workload(charged);
-          machine::StepWork& work = *call_.work;
-          work.kspace.active = true;
-          work.kspace.grid_points = gw.grid_points;
-          work.kspace.charges = gw.charges;
-          work.kspace.stencil_points = gw.spread_stencil_points;
-          work.kspace.fft_flops = gw.fft_flops;
-          call_.kspace_cache->reset(ff_->topology().atom_count());
-          return GseInput{call_.positions,       ff_->kspace_charges(),
-                          ff_->excluded_pairs(), *call_.box,
-                          call_.kspace_cache,    &engine_metrics().kspace_ns};
-        }));
-  }
-
-  g.add_reduction(
-      "runtime.reduce",
-      [this] {
-        // Node slots in ascending node order, then the k-space cache: the
-        // summation grouping of a serial loop over the nodes, bit for bit,
-        // including the double-precision virial.
-        ForceResult& out = *call_.out;
-        sums_.reduce(out);
-        if (ff_->has_kspace()) out.merge(*call_.kspace_cache);
-        ff::spread_virtual_site_forces(ff_->topology().virtual_sites(),
-                                       call_.positions, *call_.box,
-                                       out.forces);
-      },
-      std::move(reduce_deps));
 }
 
 }  // namespace antmd::runtime

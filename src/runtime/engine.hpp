@@ -4,14 +4,12 @@
 // determinism the real machine's fixed-point arithmetic guarantees — and
 // (b) per-node workload counts for the timing model.
 //
-// One evaluation is one task graph, at every lane and node count: node
-// tasks (each node's bonded and extension terms through
-// ForceField::compute_bonded_terms, then its pair or tile share) add into
-// PartialSums — lane-private forces, one energy/virial slot per node —
-// beside GSE's reciprocal-space stage chain, and one reduction merges the
-// node slots in ascending node order, then the k-space cache, then spreads
-// virtual-site forces.  What is specific to the machine is the node
-// partition, the wire-format position snap and the workload accounting.
+// One evaluation runs md::ForceGraph, the graph the host runs too, with one
+// slot per node: the node's bonded and extension terms, then its pair or
+// tile share.  Slots merge in ascending node order, so the result is
+// bit-identical at any lane count.  What is specific to the machine is the
+// node partition, the wire-format position snap and the workload
+// accounting, which redistribute() computes once per partition.
 //
 // Kernel → hardware-unit mapping (the paper's central design point):
 //   tabulated pair interactions  → HTIS pairwise pipelines
@@ -27,6 +25,7 @@
 
 #include "ff/forcefield.hpp"
 #include "machine/timing.hpp"
+#include "md/force_graph.hpp"
 #include "runtime/decomposition.hpp"
 #include "util/execution.hpp"
 
@@ -44,9 +43,6 @@ class DistributedEngine {
  public:
   DistributedEngine(ForceField& ff, const machine::MachineConfig& config,
                     EngineOptions options = {});
-  // The evaluation graph's tasks hold `this`.
-  DistributedEngine(const DistributedEngine&) = delete;
-  DistributedEngine& operator=(const DistributedEngine&) = delete;
 
   /// Reassigns atoms and work to nodes, copying the force field's terms
   /// into the node partitions; call whenever the global neighbor list was
@@ -66,8 +62,9 @@ class DistributedEngine {
     return generation_ != ff_->generation();
   }
 
-  /// Evaluates all forces.  `kspace_cache` is reused when !kspace_due.
-  /// Returns the machine-wide workload of this step for the timing model.
+  /// Snaps `positions` to the wire format and evaluates all forces.
+  /// `kspace_cache` is reused when !kspace_due.  Returns the machine-wide
+  /// workload of this step for the timing model.
   machine::StepWork evaluate(std::span<Vec3> positions, const Box& box,
                              double time, bool kspace_due, ForceResult& out,
                              ForceResult& kspace_cache) const;
@@ -121,10 +118,6 @@ class DistributedEngine {
     std::vector<uint32_t> owned_atoms;
     std::vector<VirtualSite> vsites;
     size_t constraint_count = 0;
-    // Communication accounting (bytes per step, fixed-point wire format).
-    double import_bytes = 0.0;
-    double export_bytes = 0.0;
-    size_t messages = 0;
 
     /// This node's geometry-core terms; the external field acts on the
     /// atoms it owns.
@@ -136,24 +129,19 @@ class DistributedEngine {
     }
   };
 
-  void fill_comm_counts(std::span<const Vec3> positions, const Box& box);
+  /// Each node's communication and compute workload per evaluation.
+  void fill_node_work();
   /// Owner of `atom` after remapping away from failed nodes.
   [[nodiscard]] size_t effective_node(size_t node) const;
-  void evaluate_node(const NodePartition& part, std::span<const Vec3> positions,
-                     const Box& box, double time, ForceResult& partial,
-                     machine::NodeWork& nw) const;
-  /// Wires the evaluation graph: node tasks ∥ the GSE stage chain →
-  /// ascending-node reduction + k-space merge + vsite spread.
-  void build_eval_graph() const;
-  /// Node n's task body: its forces go into the lane's array, its energy
-  /// and virial into slot n of sums_.
-  void run_node(size_t n) const;
 
   ForceField* ff_;
   machine::TorusTopology torus_;
   EngineOptions options_;
   SpatialDecomposition decomp_;
   std::vector<NodePartition> parts_;
+  std::vector<md::ForceSlot> slots_;          ///< one per node, over parts_
+  std::vector<machine::NodeWork> node_work_;  ///< per evaluation, per node
+  machine::KspaceWork kspace_work_;  ///< per k-space evaluation
   /// Non-null between a cluster-mode redistribute and the next one; owned
   /// by the caller (the neighbor list object outlives its rebuilds).
   const ff::ClusterPairList* clusters_ = nullptr;
@@ -161,23 +149,9 @@ class DistributedEngine {
   uint64_t generation_ = 0;   ///< ff_->generation() at the last redistribute
   machine::GcCosts costs_;
   std::shared_ptr<ExecutionContext> exec_;
-  /// Node partials, reused across evaluations.
-  mutable PartialSums sums_;
-
-  /// The evaluation graph (built on first use) plus the per-call parameters
-  /// its task bodies read.  Mutable for the same reason as the partials:
-  /// evaluation is logically const.
-  struct EvalCall {
-    std::span<const Vec3> positions;
-    const Box* box = nullptr;
-    double time = 0.0;
-    bool kspace_due = false;
-    ForceResult* out = nullptr;
-    ForceResult* kspace_cache = nullptr;
-    machine::StepWork* work = nullptr;
-  };
-  mutable std::unique_ptr<util::TaskGraph> eval_graph_;
-  mutable EvalCall call_;
+  /// Mutable: its partial sums are scratch, and evaluation is logically
+  /// const.
+  mutable md::ForceGraph graph_;
 };
 
 }  // namespace antmd::runtime

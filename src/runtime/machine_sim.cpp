@@ -6,7 +6,6 @@
 #include "ff/nonbonded_simd.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 
 namespace antmd::runtime {
 
@@ -132,13 +131,7 @@ void MachineForces::compute(State& state, const md::ForceRequest& request,
                        request.kspace_due, out, kspace_cache);
   if (request.restore) return;
   charge(std::move(work));
-
-  uint64_t poison_atom = 0;
-  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-    out.forces.set_quanta(
-        poison_atom % out.forces.size(),
-        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
-  }
+  md::poll_force_fault(out);
 }
 
 void MachineForces::charge(machine::StepWork work) {

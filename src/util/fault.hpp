@@ -17,9 +17,9 @@
 //                  trajectory frame reaches the disk and io::repair_xyz
 //                  must truncate back to the last complete frame
 //   kNanForce      md and machine force providers -> poisons one atom's
-//                  force accumulator with kPoisonQuanta (once per
-//                  evaluation; not in RESPA's bonded-only pass, nor in
-//                  the machine's restore)
+//                  force accumulator with kPoisonQuanta (md::poll_force_fault,
+//                  once per evaluation after its force graph; not in
+//                  RESPA's bonded-only pass, nor in the machine's restore)
 //   kNodeFail      DistributedEngine::redistribute -> marks a torus node
 //                  failed; its work is remapped to surviving nodes.  Polled
 //                  on every redistribute: the machine provider's list
@@ -48,12 +48,11 @@
 //                  retained audit snapshot buffer, exercising the
 //                  "recovery source itself corrupted" path
 //
-// The injector is process-global and thread-safe: injection points may sit
-// inside task-graph worker lanes (the cluster-kernel force poison fires
-// from the step DAG's reduction task, on whichever lane picks it up), so
-// every registry operation synchronizes on an internal lock behind a
-// relaxed armed-plan fast path — when nothing is armed, should_fire() is a
-// single atomic load.  Event/fire counts stay deterministic because the
+// The injector is process-global and thread-safe: injection points may be
+// polled from task-graph worker lanes (replica exchange steps each replica
+// on whichever lane picks its chunk up), so every registry operation
+// synchronizes on an internal lock behind a relaxed armed-plan fast path —
+// when nothing is armed, should_fire() is a single atomic load.  Event/fire counts stay deterministic because the
 // *sites* poll deterministically; which thread polls never matters.
 //
 // Scopes (fleet multi-tenancy): a plan armed with arm_scoped(scope, plan)

@@ -372,11 +372,10 @@ TEST(NodeFailure, SlowNodeStretchesModeledTimeOnly) {
   }
 }
 
-// With threads > 1 the force evaluation runs as a task graph and the
-// kNanForce injection point sits in the md.reduce task — it fires on
-// whichever worker lane picks that task up, not on the caller thread.
-// Recovery must still be race-free and bit-identical to the fault-free
-// parallel run (this case is part of the tsan sweep).
+// With threads > 1 the force evaluation runs as a task graph on worker
+// lanes, and the kNanForce poll follows the graph.  Recovery — rollback and
+// re-evaluation on those lanes — must be race-free and bit-identical to
+// the fault-free parallel run (this case is part of the tsan sweep).
 TEST(Supervisor, WorkerLaneFaultRecoveryIsBitIdentical) {
   auto spec = build_lj_fluid(216, 0.021, 7);
   auto model = lj_model();
@@ -393,7 +392,7 @@ TEST(Supervisor, WorkerLaneFaultRecoveryIsBitIdentical) {
 
   fault::FaultPlan plan;
   plan.kind = fault::FaultKind::kNanForce;
-  plan.fire_after = 12;  // force evaluations, counted on the worker lane
+  plan.fire_after = 12;  // force evaluations
   plan.payload = 9;
   fault::ScopedFault f(plan);
 

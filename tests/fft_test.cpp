@@ -160,7 +160,7 @@ TEST(Fft3d, PlaneAndColumnFanOutMatchesSerialBitwise) {
         [&](size_t z) { fft3d_plane(staged, z, dir); });
     graph.add_parallel(
         "fft_test.columns", [&] { return staged.ny(); },
-        [&](size_t y) { fft3d_columns(staged, y, 0, staged.nx(), dir); },
+        [&](size_t y) { fft3d_columns(staged, y, dir); },
         {planes});
     graph.run();
     EXPECT_EQ(std::memcmp(staged.raw().data(), serial.raw().data(),

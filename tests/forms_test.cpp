@@ -1,7 +1,6 @@
 // Tests for the extended functional forms and supporting machinery:
 // Morse bonds, Urey–Bradley, harmonic impropers, dihedral biasing, torsion
-// metadynamics, the functional distributed FFT, transport analysis, and
-// the run-config parser.
+// metadynamics, transport analysis, and the run-config parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include "ff/bias.hpp"
 #include "ff/bonded.hpp"
 #include "ff/forcefield.hpp"
-#include "fft/distributed.hpp"
 #include "io/config.hpp"
 #include "math/rng.hpp"
 #include "md/simulation.hpp"
@@ -177,48 +175,6 @@ TEST(TorsionMeta, DepositsPeriodicHills) {
   double fmin = 1e300;
   for (const auto& [phi, f] : fes) fmin = std::min(fmin, f);
   EXPECT_NEAR(fmin, 0.0, 1e-9);
-}
-
-TEST(DistributedFft, BitwiseIdenticalToSerial) {
-  SequentialRng rng(3);
-  for (size_t ranks : {1u, 2u, 4u, 8u}) {
-    Grid3D serial(16, 8, 16);
-    for (auto& v : serial.raw()) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    Grid3D dist = serial;
-
-    fft3d_forward(serial);
-    DistributedFft3d fft(16, 8, 16, ranks);
-    auto log = fft.forward(dist);
-
-    for (size_t i = 0; i < serial.raw().size(); ++i) {
-      EXPECT_EQ(serial.raw()[i], dist.raw()[i]) << "ranks=" << ranks;
-    }
-    if (ranks > 1) {
-      EXPECT_GT(log.bytes, 0.0);
-      EXPECT_EQ(log.messages, 2 * ranks * (ranks - 1));
-      EXPECT_EQ(log.transposes, 2u);
-    } else {
-      EXPECT_EQ(log.messages, 0u);
-    }
-  }
-}
-
-TEST(DistributedFft, RoundTripAndInverse) {
-  SequentialRng rng(7);
-  Grid3D grid(8, 8, 8);
-  for (auto& v : grid.raw()) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-  auto orig = grid.raw();
-  DistributedFft3d fft(8, 8, 8, 4);
-  fft.forward(grid);
-  fft.inverse(grid);
-  for (size_t i = 0; i < orig.size(); ++i) {
-    EXPECT_NEAR(grid.raw()[i].real(), orig[i].real(), 1e-10);
-    EXPECT_NEAR(grid.raw()[i].imag(), orig[i].imag(), 1e-10);
-  }
-}
-
-TEST(DistributedFft, RejectsIndivisibleRanks) {
-  EXPECT_THROW(DistributedFft3d(8, 8, 8, 3), Error);
 }
 
 TEST(Transport, BallisticParticleMsdIsQuadratic) {

@@ -1,7 +1,7 @@
 // Tests for the distributed runtime: decomposition correctness, the
 // bit-exact determinism contract across node counts (the paper's fixed-
-// point guarantee, experiment T5), workload accounting, and agreement with
-// the single-host engine.
+// point guarantee, experiment T5), workload accounting, agreement with the
+// single-host engine, and the sampling drivers on the machine.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +14,12 @@
 #include "runtime/decomposition.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/machine_sim.hpp"
+#include "sampling/metadynamics.hpp"
+#include "sampling/replica_exchange.hpp"
+#include "sampling/smd.hpp"
+#include "sampling/tamd.hpp"
+#include "sampling/tempering.hpp"
+#include "sampling/torsion_meta.hpp"
 #include "topo/builders.hpp"
 
 namespace antmd::runtime {
@@ -401,6 +407,163 @@ TEST(MachineSim, MoreNodesMeansFasterSteps) {
   double t1 = mean_step(1);
   double t4 = mean_step(4);
   EXPECT_LT(t4, t1);  // 64 nodes beat 1 node on a 216-water box
+}
+
+// --- sampling drivers on the machine ------------------------------------------
+// Every driver in src/sampling takes md::Simulation&.  Each runs here on a
+// 1-node and an 8-node machine evaluating k-space every step; its extension
+// term reaches the node slots only through the machine's force graph.  The
+// final state must not depend on the node count, and every step's forces
+// and energy terms — the first step's included — must equal a ForceField
+// evaluation at the machine's (wire-snapped) positions.
+
+constexpr size_t kDriverSteps = 12;
+
+MachineSimConfig driver_config() {
+  MachineSimConfig cfg;
+  cfg.dt_fs = 2.0;
+  cfg.kspace_interval = 1;
+  cfg.neighbor_skin = 1.0;
+  cfg.init_temperature_k = 300.0;
+  cfg.thermostat.kind = md::ThermostatKind::kLangevin;
+  cfg.thermostat.temperature_k = 300.0;
+  return cfg;
+}
+
+// Bonded + nonbonded (a fresh list) + k-space at `sim`'s positions.
+ForceResult field_evaluation(const md::Simulation& sim, double time) {
+  const ForceField& field = sim.force_field();
+  const State& s = sim.state();
+  ForceResult ref(s.positions.size());
+  field.compute_bonded(s.positions, s.box, time, ref);
+  md::NeighborList list(field.topology(), field.model().cutoff, 0.0);
+  list.build(s.positions, s.box);
+  field.compute_nonbonded(list.pairs(), s.positions, s.box, ref);
+  field.compute_kspace(s.positions, s.box, ref);
+  return ref;
+}
+
+// Checks every step from an observer, which runs at the end of the step,
+// before a driver reacts to it (moves z, deposits a hill).  The evaluation
+// ran at the time the step started from.
+void check_every_step(md::Simulation& sim) {
+  sim.add_observer(
+      [&sim, t = sim.state().time](const md::StepInfo& info) mutable {
+        SCOPED_TRACE(testing::Message() << "step " << info.step);
+        const ForceResult ref = field_evaluation(sim, t);
+        EXPECT_EQ(sim.forces().forces, ref.forces);
+        expect_same_energy(sim.forces().energy, ref.energy);
+        t = info.time;
+      });
+}
+
+void expect_same_state(const State& a, const State& b) {
+  EXPECT_EQ(a.step, b.step);
+  ASSERT_EQ(a.positions.size(), b.positions.size());
+  for (size_t i = 0; i < a.positions.size(); ++i) {
+    ASSERT_EQ(a.positions[i], b.positions[i]) << "atom " << i;
+    ASSERT_EQ(a.velocities[i], b.velocities[i]) << "atom " << i;
+  }
+}
+
+// Runs drive(sim) on 64 GSE waters at 1x1x1 and 2x2x2 nodes, each with a
+// fresh force field, and expects the same final state.
+template <typename Drive>
+void expect_node_count_invariant(Drive drive) {
+  const SystemSpec spec = build_water_box(64, WaterModel::kRigid3Site);
+  std::vector<State> finals;
+  for (int n : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << n << "^3 nodes");
+    ForceField field(spec.topology, water_model(5.0));
+    MachineSimulation sim(field, machine::anton_with_torus(n, n, n),
+                          spec.positions, spec.box, driver_config());
+    check_every_step(sim);
+    drive(sim);
+    finals.push_back(sim.state());
+  }
+  expect_same_state(finals[0], finals[1]);
+}
+
+// Oxygens of the first four waters: the collective variables' atoms.
+constexpr uint32_t kO0 = 0, kO1 = 3, kO2 = 6, kO3 = 9;
+
+TEST(MachineDrivers, SimulatedTempering) {
+  expect_node_count_invariant([](md::Simulation& sim) {
+    sampling::TemperingConfig tc;
+    tc.ladder = {300.0, 330.0, 360.0};
+    tc.attempt_interval = 3;
+    sampling::SimulatedTempering tempering(sim, tc);
+    tempering.run(kDriverSteps);
+    EXPECT_EQ(tempering.attempts(), kDriverSteps / 3);
+  });
+}
+
+TEST(MachineDrivers, Metadynamics) {
+  expect_node_count_invariant([](md::Simulation& sim) {
+    sampling::MetadynamicsConfig mc;
+    mc.deposit_interval = 3;
+    sampling::Metadynamics meta(sim, kO0, kO1, mc);
+    meta.run(kDriverSteps);
+    EXPECT_EQ(meta.hill_count(), kDriverSteps / 3);
+    EXPECT_GT(sim.forces().energy.restraint.value(), 0.0);
+  });
+}
+
+TEST(MachineDrivers, TorsionMetadynamics) {
+  expect_node_count_invariant([](md::Simulation& sim) {
+    sampling::TorsionMetaConfig tc;
+    tc.deposit_interval = 3;
+    sampling::TorsionMetadynamics meta(sim, kO0, kO1, kO2, kO3, tc);
+    meta.run(kDriverSteps);
+    EXPECT_EQ(meta.hill_count(), kDriverSteps / 3);
+    EXPECT_GT(sim.forces().energy.restraint.value(), 0.0);
+  });
+}
+
+TEST(MachineDrivers, Tamd) {
+  expect_node_count_invariant([](md::Simulation& sim) {
+    sampling::Tamd tamd(sim, kO0, kO1, sampling::TamdConfig{});
+    const double z0 = tamd.z();
+    tamd.run(kDriverSteps);
+    EXPECT_NE(tamd.z(), z0);
+    EXPECT_GT(sim.forces().energy.restraint.value(), 0.0);
+  });
+}
+
+TEST(MachineDrivers, SteeredPull) {
+  expect_node_count_invariant([](md::Simulation& sim) {
+    const State& s = sim.state();
+    const double r0 = norm(s.box.min_image(s.positions[kO0], s.positions[kO1]));
+    const size_t spring = sim.force_field().add_steered_spring(
+        {kO0, kO1, 5.0, r0, 0.01});
+    sampling::SteeredPull pull(sim, spring);
+    pull.run(kDriverSteps, 3);
+    EXPECT_EQ(pull.times().size(), kDriverSteps / 3);
+    EXPECT_GT(sim.forces().energy.restraint.value(), 0.0);
+  });
+}
+
+TEST(MachineDrivers, HamiltonianReplicaExchange) {
+  const SystemSpec spec = build_water_box(64, WaterModel::kRigid3Site);
+  std::vector<std::array<State, 2>> finals;
+  for (int n : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << n << "^3 nodes");
+    ForceField field_a(spec.topology, water_model(5.0));
+    ForceField field_b(spec.topology, water_model(5.0));
+    MachineSimulation a(field_a, machine::anton_with_torus(n, n, n),
+                        spec.positions, spec.box, driver_config());
+    MachineSimulation b(field_b, machine::anton_with_torus(n, n, n),
+                        spec.positions, spec.box, driver_config());
+    field_b.set_vdw_scale(0.9);
+    check_every_step(a);
+    check_every_step(b);
+    sampling::HamiltonianReplicaExchange hremd({&a, &b}, 300.0, 4);
+    hremd.run(kDriverSteps);
+    EXPECT_EQ(hremd.stats().attempts[0], 2u);  // even pairs at rounds 0, 2
+    finals.push_back({a.state(), b.state()});
+  }
+  expect_same_state(finals[0][0], finals[1][0]);
+  expect_same_state(finals[0][1], finals[1][1]);
 }
 
 }  // namespace
