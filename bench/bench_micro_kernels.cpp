@@ -112,7 +112,7 @@ void BM_GseSolve(benchmark::State& state) {
                               WaterModel::kRigid3Site);
   GseParams params;
   params.beta = 0.4;
-  GseSolver solver(spec.box, params);
+  GseSolver solver(params);
   auto excl = spec.topology.excluded_pairs();
   ForceResult out(spec.topology.atom_count());
   for (auto _ : state) {
@@ -198,10 +198,10 @@ void kernel_throughput_report() {
   const double cluster_s = best_eval_s([&] {
     ff::compute_clusters(cl, tables, spec.positions, spec.box, out);
   });
-  auto exec = ExecutionContext::create(ExecutionConfig{8});
+  auto runtime = util::TaskRuntime::create(8);
   const double cluster8_s = best_eval_s([&] {
     ff::compute_clusters(cl, tables, spec.positions, spec.box, out, 1.0, 1.0,
-                         exec.get());
+                         runtime.get());
   });
 
   std::printf("\nnonbonded kernel throughput, %zu atoms, %.0f pairs "

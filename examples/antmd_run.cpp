@@ -12,7 +12,7 @@
 //   steps        = 500
 //   dt_fs        = 2.0
 //   kspace_interval = 2         # default 1 on the host, 2 on the machine
-//   respa_inner  = 1            # host only; the machine rejects > 1
+//   respa_inner  = 1            # host only, no barostat; machine rejects > 1
 //   barostat     = none         # none | mc | berendsen | semiiso (host only)
 //   temperature  = 300
 //   thermostat   = langevin     # none | berendsen | langevin | nosehoover

@@ -5,7 +5,7 @@
 #   exit 2    every configuration/usage mistake: unknown health, barostat or
 #             water_model; audit_interval without supervise; --resume
 #             without --checkpoint; a duplicated config key;
-#             --checkpoint-interval 0
+#             --checkpoint-interval 0; respa_inner > 1 with a barostat
 #   exit 4    health = throw and an injected NaN force, with and without
 #             --supervise
 #   exit 5    health = rollback and a NaN force on every evaluation: the
@@ -101,6 +101,8 @@ run bad_water_model 2 "system = water" "water_model = bogus" || true
 run audit_unsupervised 2 "audit_interval = 4" || true
 run resume_no_checkpoint 2 -- --resume || true
 run duplicate_key 2 "dup:steps = 40" || true
+run respa_barostat 2 "respa_inner = 2" "barostat = berendsen" \
+  "pressure = 1.0" || true
 run checkpoint_interval_0 2 -- --checkpoint "$WORK/ci0.ckpt" \
   --checkpoint-interval 0 || true
 

@@ -14,6 +14,8 @@
 #   bilayer_npt  examples/configs/bilayer_npt.cfg for 60 steps (the
 #                semi-isotropic barostat rescales the box and re-grids GSE)
 #   water_mc     216 rigid3 waters, barostat = mc
+#   rigid4_mc    216 rigid4 waters, GSE, barostat = mc (trial energies with
+#                virtual sites)
 #   machine      examples/configs/water_machine.cfg for 60 steps
 #   lj_pair      512-atom LJ fluid, nonbonded_kernel = pair
 #   lj_cluster   512-atom LJ fluid, nonbonded_kernel = cluster
@@ -142,6 +144,10 @@ skin = 1.0
 seed = 5
 EOF
       ;;
+    rigid4_mc)
+      write_case water_mc
+      echo 'water_model = rigid4'
+      ;;
     machine)
       sed -E 's/^steps[[:space:]]*=.*/steps = 60/' \
         examples/configs/water_machine.cfg
@@ -221,7 +227,8 @@ run_case() {  # binary label case threads -> checkpoint path
 status=0
 for name in water512 rigid4 flex_respa bilayer_npt water_mc machine \
             lj_pair lj_cluster host_nan machine_nan machine_pair \
-            machine_rigid4 machine_1node flex_respa_pair lj_pair_npt; do
+            machine_rigid4 machine_1node flex_respa_pair lj_pair_npt \
+            rigid4_mc; do
   for threads in 1 4; do
     old="$(run_case "$RUN_OLD" rev "$name" "$threads")" || { status=1; continue; }
     new="$(run_case "$RUN_NEW" tree "$name" "$threads")" || { status=1; continue; }

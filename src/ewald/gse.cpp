@@ -38,52 +38,54 @@ inline size_t wrap_index(long i, long n) {
 
 }  // namespace
 
-GseSolver::GseSolver(const Box& box, GseParams params)
-    : params_(params) {
+GseSolver::GseSolver(GseParams params) : params_(params) {
   ANTMD_REQUIRE(params_.beta > 0, "beta must be positive");
   ANTMD_REQUIRE(params_.sigma_split > 0 && params_.sigma_split < 1,
                 "sigma_split must be in (0, 1)");
-  rebuild(box);
-}
-
-void GseSolver::rebuild(const Box& box) {
-  nx_ = next_pow2(box.edges().x / params_.grid_spacing);
-  ny_ = next_pow2(box.edges().y / params_.grid_spacing);
-  nz_ = next_pow2(box.edges().z / params_.grid_spacing);
   // Total reciprocal Gaussian variance α = 1/(4β²); σ_s² takes a fraction.
   const double alpha = 1.0 / (4.0 * params_.beta * params_.beta);
   sigma_s_ = std::sqrt(params_.sigma_split * alpha);
-  const double h_max =
-      std::max({box.edges().x / static_cast<double>(nx_),
-                box.edges().y / static_cast<double>(ny_),
-                box.edges().z / static_cast<double>(nz_)});
-  support_ = static_cast<int>(
-      std::ceil(params_.stencil_sigmas * sigma_s_ / h_max));
-  ANTMD_REQUIRE(support_ >= 1, "spreading support collapsed to zero");
-  ANTMD_REQUIRE(2 * support_ + 1 <= static_cast<int>(std::min({nx_, ny_, nz_})),
-                "grid too small for the spreading stencil");
 }
 
-GseWorkload GseSolver::workload(size_t n_charges) const {
+GseSolver::Grid GseSolver::grid_for(const Box& box) const {
+  Grid g;
+  g.nx = next_pow2(box.edges().x / params_.grid_spacing);
+  g.ny = next_pow2(box.edges().y / params_.grid_spacing);
+  g.nz = next_pow2(box.edges().z / params_.grid_spacing);
+  const double h_max =
+      std::max({box.edges().x / static_cast<double>(g.nx),
+                box.edges().y / static_cast<double>(g.ny),
+                box.edges().z / static_cast<double>(g.nz)});
+  g.support = static_cast<int>(
+      std::ceil(params_.stencil_sigmas * sigma_s_ / h_max));
+  ANTMD_REQUIRE(g.support >= 1, "spreading support collapsed to zero");
+  ANTMD_REQUIRE(
+      2 * g.support + 1 <= static_cast<int>(std::min({g.nx, g.ny, g.nz})),
+      "grid too small for the spreading stencil");
+  return g;
+}
+
+GseWorkload GseSolver::workload(const Box& box, size_t n_charges) const {
+  const Grid g = grid_for(box);
   GseWorkload w;
-  w.grid_points = nx_ * ny_ * nz_;
-  size_t stencil = static_cast<size_t>(2 * support_ + 1);
+  w.grid_points = g.nx * g.ny * g.nz;
+  size_t stencil = static_cast<size_t>(2 * g.support + 1);
   w.spread_stencil_points = stencil * stencil * stencil;
   w.charges = n_charges;
-  w.fft_flops = 2.0 * estimate_fft_cost(nx_, ny_, nz_, 1).flops;  // fwd+inv
+  w.fft_flops = 2.0 * estimate_fft_cost(g.nx, g.ny, g.nz, 1).flops;  // fwd+inv
   return w;
 }
 
-/// One evaluation: its input, the grid geometry it started with and its
+/// One evaluation: its input, the grid geometry of its box and its
 /// workspace.  Lives from the chain's first stage to its last.
 struct GseSolver::Evaluation {
-  Evaluation(const GseSolver& solver, const GseInput& input)
+  Evaluation(const GseSolver& solver, const GseInput& input, const Grid& g)
       : in(input),
-        nx(solver.nx_),
-        ny(solver.ny_),
-        nz(solver.nz_),
-        sup(solver.support_),
-        stencil(static_cast<size_t>(2 * solver.support_ + 1)),
+        nx(g.nx),
+        ny(g.ny),
+        nz(g.nz),
+        sup(g.support),
+        stencil(static_cast<size_t>(2 * g.support + 1)),
         hx(in.box.edges().x / static_cast<double>(nx)),
         hy(in.box.edges().y / static_cast<double>(ny)),
         hz(in.box.edges().z / static_cast<double>(nz)),
@@ -324,7 +326,8 @@ util::TaskId GseSolver::append_stages(util::TaskGraph& graph, InputFn input,
         p->eval.reset();
         std::optional<GseInput> in = p->input();
         if (!in) return size_t{0};
-        p->eval.emplace(*this, *in);
+        last_ = grid_for(in->box);
+        p->eval.emplace(*this, *in, last_);
         if (in->span_ns != nullptr && obs::enabled()) {
           p->eval->start_us = obs::now_us();
         }
@@ -468,8 +471,7 @@ void GseSolver::compute_reference(
 
   GseParams p;
   p.beta = beta;
-  GseSolver solver(box, p);
-  solver.corrections(pos, charges, excluded_pairs, box, out);
+  GseSolver(p).corrections(pos, charges, excluded_pairs, box, out);
 }
 
 }  // namespace antmd

@@ -20,6 +20,11 @@
 // count, so the result is bit-identical at any lane count.  compute() runs
 // the same stages on a serial graph.
 //
+// The solver holds no box: each evaluation sizes its grid and stencil from
+// the box it is handed, so a trial box, a rescaled box and the run's box
+// all go through one solver, and no box change can leave it gridded for
+// another box.
+//
 // Correctness contract: real-space kernel (ff::Electrostatics::kEwaldReal
 // with the same β) + this reciprocal part + self/exclusion/background
 // corrections reproduces full Ewald electrostatics; the Madelung-constant
@@ -81,10 +86,7 @@ class GseSolver {
   /// every stage of that run (k-space not due).
   using InputFn = std::function<std::optional<GseInput>()>;
 
-  GseSolver(const Box& box, GseParams params);
-
-  /// Recomputes grid dimensions after a box change (barostat).
-  void rebuild(const Box& box);
+  explicit GseSolver(GseParams params);
 
   /// Adds reciprocal-space forces and energy for the given charges.
   /// Also adds the self-energy, neutralizing-background and excluded-pair
@@ -98,17 +100,19 @@ class GseSolver {
   /// returns its final task.  The graph may be run any number of times;
   /// each run asks `input` for that run's evaluation.  The per-evaluation
   /// workspace (grid and per-atom stencil) is allocated when the chain
-  /// starts and freed by its final task.  Grid dimensions are read at that
-  /// point too, so rebuild() between runs is fine; the solver must outlive
-  /// the graph.
+  /// starts and freed by its final task.  The grid is sized for that run's
+  /// box at that point too, so the box may change between runs; the solver
+  /// must outlive the graph.
   util::TaskId append_stages(util::TaskGraph& graph, InputFn input,
                              std::vector<util::TaskId> deps = {}) const;
 
   [[nodiscard]] const GseParams& params() const { return params_; }
-  [[nodiscard]] size_t nx() const { return nx_; }
-  [[nodiscard]] size_t ny() const { return ny_; }
-  [[nodiscard]] size_t nz() const { return nz_; }
-  [[nodiscard]] GseWorkload workload(size_t n_charges) const;
+  /// Grid dimensions of the last evaluation (0 before the first).
+  [[nodiscard]] size_t nx() const { return last_.nx; }
+  [[nodiscard]] size_t ny() const { return last_.ny; }
+  [[nodiscard]] size_t nz() const { return last_.nz; }
+  /// The work one evaluation in `box` does with `n_charges` charges.
+  [[nodiscard]] GseWorkload workload(const Box& box, size_t n_charges) const;
 
   /// Direct (non-grid) reciprocal-space Ewald sum for validation; O(N·K).
   /// Includes the same self/background/exclusion corrections.
@@ -120,8 +124,16 @@ class GseSolver {
                                 ForceResult& out);
 
  private:
+  /// Grid dimensions (powers of two) and stencil half-width for one box.
+  struct Grid {
+    size_t nx = 0, ny = 0, nz = 0;
+    int support = 0;  ///< stencil half-width in cells
+  };
   struct Evaluation;
   struct Pipeline;
+
+  /// Throws when the box is too small for the spreading stencil.
+  [[nodiscard]] Grid grid_for(const Box& box) const;
 
   void corrections(std::span<const Vec3> pos, std::span<const double> charges,
                    std::span<const std::pair<uint32_t, uint32_t>>
@@ -129,9 +141,9 @@ class GseSolver {
                    const Box& box, ForceResult& out) const;
 
   GseParams params_;
-  size_t nx_ = 0, ny_ = 0, nz_ = 0;
-  double sigma_s_ = 0.0;   ///< spreading Gaussian std-dev (Å)
-  int support_ = 0;        ///< stencil half-width in cells
+  double sigma_s_ = 0.0;  ///< spreading Gaussian std-dev (Å)
+  /// Set when an evaluation starts (single-threaded, before its grains).
+  mutable Grid last_;
 };
 
 }  // namespace antmd

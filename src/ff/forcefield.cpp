@@ -12,9 +12,7 @@ ForceField::ForceField(const Topology& topo, ff::NonbondedModel model,
     : topo_(&topo), tables_(topo, model) {
   if (model.electrostatics == ff::Electrostatics::kEwaldReal) {
     gse.beta = model.ewald_beta;
-    // The box is supplied per call; build with a placeholder and rebuild on
-    // first use via on_box_changed.  A unit box is safe for construction.
-    gse_ = std::make_unique<GseSolver>(Box::cubic(64.0), gse);
+    gse_ = std::make_unique<GseSolver>(gse);
   }
   excluded_pairs_ = topo.excluded_pairs();
   set_charge_product_scale(charge_scale_);
@@ -96,11 +94,6 @@ ff::BondedTerms ForceField::bonded_terms() const {
           dihedral_biases_,     field_atoms_};
 }
 
-void ForceField::compute_bonded(std::span<const Vec3> pos, const Box& box,
-                                double time, ForceResult& out) const {
-  compute_bonded_terms(bonded_terms(), pos, box, time, out);
-}
-
 void ForceField::compute_bonded_terms(const ff::BondedTerms& terms,
                                       std::span<const Vec3> pos,
                                       const Box& box, double time,
@@ -135,19 +128,15 @@ void ForceField::compute_nonbonded(std::span<const ff::PairEntry> pairs,
 void ForceField::compute_nonbonded_clusters(const ff::ClusterPairList& clusters,
                                             std::span<const Vec3> pos,
                                             const Box& box, ForceResult& out,
-                                            ExecutionContext* exec) const {
+                                            util::TaskRuntime* runtime) const {
   ff::compute_clusters(clusters, tables_, pos, box, out, vdw_scale_,
-                       charge_scale_, exec);
+                       charge_scale_, runtime);
 }
 
 void ForceField::compute_kspace(std::span<const Vec3> pos, const Box& box,
                                 ForceResult& out) const {
   if (!gse_) return;
   gse_->compute(pos, kspace_charges_, excluded_pairs_, box, out);
-}
-
-void ForceField::on_box_changed(const Box& box) {
-  if (gse_) gse_->rebuild(box);
 }
 
 }  // namespace antmd

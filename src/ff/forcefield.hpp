@@ -97,15 +97,10 @@ class ForceField {
   /// The whole system's geometry-core terms.
   [[nodiscard]] ff::BondedTerms bonded_terms() const;
 
-  /// Bonded terms + restraints + 1-4 pairs + external field over the whole
-  /// system, through compute_bonded_terms.
-  /// `time` is elapsed simulation time (internal units) for steered springs.
-  void compute_bonded(std::span<const Vec3> pos, const Box& box, double time,
-                      ForceResult& out) const;
-
   /// Evaluates `terms` with this field's tables, charges and external
   /// field, kernel by kernel in one fixed order, so the virial of any
   /// subset sums in the same order on the host and on a machine node.
+  /// `time` is elapsed simulation time (internal units) for steered springs.
   void compute_bonded_terms(const ff::BondedTerms& terms,
                             std::span<const Vec3> pos, const Box& box,
                             double time, ForceResult& out) const;
@@ -116,19 +111,17 @@ class ForceField {
                          ForceResult& out) const;
 
   /// Same terms over the blocked cluster-pair list (bit-identical to
-  /// compute_nonbonded over the list's source pairs); `exec` fans the tile
-  /// chunks out deterministically when parallel.
+  /// compute_nonbonded over the list's source pairs); `runtime` fans the
+  /// tile chunks out deterministically when parallel.
   void compute_nonbonded_clusters(const ff::ClusterPairList& clusters,
                                   std::span<const Vec3> pos, const Box& box,
                                   ForceResult& out,
-                                  ExecutionContext* exec = nullptr) const;
+                                  util::TaskRuntime* runtime = nullptr) const;
 
-  /// Reciprocal-space electrostatics (no-op unless the model is kEwaldReal).
+  /// Reciprocal-space electrostatics (no-op unless the model is kEwaldReal)
+  /// on a grid sized for `box`.
   void compute_kspace(std::span<const Vec3> pos, const Box& box,
                       ForceResult& out) const;
-
-  /// Rebuilds box-dependent machinery after a box change (barostat).
-  void on_box_changed(const Box& box);
 
   // --- access ------------------------------------------------------------------
   [[nodiscard]] const Topology& topology() const { return *topo_; }

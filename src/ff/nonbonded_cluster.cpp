@@ -316,14 +316,15 @@ util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list) {
 void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
                       std::span<const Vec3> pos, const Box& box,
                       ForceResult& out, double vdw_scale,
-                      double charge_product_scale, ExecutionContext* exec) {
+                      double charge_product_scale, util::TaskRuntime* runtime) {
   gather_cluster_coords(list, pos);
   const util::ChunkPlan plan = cluster_chunk_plan(list);
   if (plan.chunks == 0) return;
 
-  const bool fan_out = exec != nullptr && exec->parallel() && plan.chunks > 1;
+  const bool fan_out =
+      runtime != nullptr && runtime->parallel() && plan.chunks > 1;
   PartialSums& s = list.scratch;
-  s.prepare(fan_out ? exec->runtime()->lanes() : 1, out.forces.size(),
+  s.prepare(fan_out ? runtime->lanes() : 1, out.forces.size(),
             plan.chunks);
   // Chunk c adds into the lane's forces and its own energy/virial slot.
   auto run_chunk = [&](size_t c, size_t lane) {
@@ -334,7 +335,7 @@ void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
         vdw_scale, charge_product_scale);
   };
   if (fan_out) {
-    exec->parallel_for(plan.chunks, [&](size_t c) {
+    runtime->parallel_for(plan.chunks, [&](size_t c) {
       run_chunk(c, util::TaskRuntime::current_lane());
     });
   } else {

@@ -15,7 +15,7 @@
 // every fixed-point sum, and the tile structure only changes memory
 // traffic and per-pair overhead, not physics.
 //
-// Determinism contract (mirrors util::ExecutionContext):
+// Determinism contract (mirrors util/task_graph.hpp):
 //   - forces and energies are integer sums → independent of tile order,
 //     chunking and thread count, and bit-identical to the flat kernel;
 //   - the double-precision virial is accumulated in 8 sub-accumulators
@@ -38,7 +38,7 @@
 #include "ff/energy.hpp"
 #include "ff/nonbonded.hpp"
 #include "math/pbc.hpp"
-#include "util/execution.hpp"
+#include "util/task_graph.hpp"
 
 namespace antmd::ff {
 
@@ -162,13 +162,13 @@ void compute_cluster_entries_scalar(
 [[nodiscard]] util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list);
 
 /// Whole-list evaluation: gather + prepare + chunks + reduce, fanned out
-/// over `exec` when parallel.  Bit-identical to ff::compute_pairs over the
+/// over `runtime` when parallel.  Bit-identical to ff::compute_pairs over the
 /// source flat list in forces and energies, and bit-identical to itself at
 /// any thread count (including the virial).
 void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
                       std::span<const Vec3> pos, const Box& box,
                       ForceResult& out, double vdw_scale = 1.0,
                       double charge_product_scale = 1.0,
-                      ExecutionContext* exec = nullptr);
+                      util::TaskRuntime* runtime = nullptr);
 
 }  // namespace antmd::ff

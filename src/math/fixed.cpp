@@ -19,10 +19,4 @@ void FixedForceArray::drain_into(FixedForceArray& dst) {
   }
 }
 
-std::vector<Vec3> FixedForceArray::to_vectors() const {
-  std::vector<Vec3> out(data_.size());
-  for (size_t i = 0; i < data_.size(); ++i) out[i] = force(i);
-  return out;
-}
-
 }  // namespace antmd

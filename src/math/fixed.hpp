@@ -165,8 +165,6 @@ class FixedForceArray {
             fixed::dequantize(t[2], fixed::kForceScale)};
   }
 
-  [[nodiscard]] std::vector<Vec3> to_vectors() const;
-
   friend bool operator==(const FixedForceArray&,
                          const FixedForceArray&) = default;
 

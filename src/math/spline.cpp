@@ -1,6 +1,7 @@
 #include "math/spline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -83,52 +84,44 @@ RadialTable RadialTable::from_potential(
 
   const double shift = shift_to_zero ? energy(r_cut) : 0.0;
 
-  t.value_.resize(knots);
-  t.dvalue_.resize(knots);
-  t.gvalue_.resize(knots);
-  t.dgvalue_.resize(knots);
-
+  // Per knot: U, dU/ds, G and dG/ds.
+  std::vector<std::array<double, 4>> knot(knots);
   for (size_t k = 0; k < knots; ++k) {
     double s = t.s_min_ + ds * static_cast<double>(k);
     double r = std::sqrt(s);
     double du = denergy_dr(r);
-    t.value_[k] = energy(r) - shift;
+    knot[k][0] = energy(r) - shift;
     // dU/ds = dU/dr * dr/ds = dU/dr / (2 r)
-    t.dvalue_[k] = du / (2.0 * r);
+    knot[k][1] = du / (2.0 * r);
     // G(s) = -(1/r) dU/dr
-    t.gvalue_[k] = -du / r;
+    knot[k][2] = -du / r;
   }
   // dG/ds by centered finite differences on the knots (ends one-sided).
   for (size_t k = 0; k < knots; ++k) {
     if (k == 0) {
-      t.dgvalue_[k] = (t.gvalue_[1] - t.gvalue_[0]) * t.inv_ds_;
+      knot[k][3] = (knot[1][2] - knot[0][2]) * t.inv_ds_;
     } else if (k == knots - 1) {
-      t.dgvalue_[k] = (t.gvalue_[k] - t.gvalue_[k - 1]) * t.inv_ds_;
+      knot[k][3] = (knot[k][2] - knot[k - 1][2]) * t.inv_ds_;
     } else {
-      t.dgvalue_[k] = (t.gvalue_[k + 1] - t.gvalue_[k - 1]) * 0.5 * t.inv_ds_;
+      knot[k][3] = (knot[k + 1][2] - knot[k - 1][2]) * 0.5 * t.inv_ds_;
     }
   }
   // 8 doubles (one cache line) per bin; pad the front so the first bin's
   // slot lands on a 64-byte boundary wherever the heap block starts.
+  t.bins_ = bins;
   t.packed_.resize(bins * 8 + 8);
   auto base = reinterpret_cast<uintptr_t>(t.packed_.data());
   t.packed_skip_ = (64 - base % 64) % 64 / sizeof(double);
   double* packed = t.packed_.data() + t.packed_skip_;
   for (size_t k = 0; k < bins; ++k) {
-    packed[8 * k + 0] = t.value_[k];
-    packed[8 * k + 1] = t.dvalue_[k];
-    packed[8 * k + 2] = t.gvalue_[k];
-    packed[8 * k + 3] = t.dgvalue_[k];
-    packed[8 * k + 4] = t.value_[k + 1];
-    packed[8 * k + 5] = t.dvalue_[k + 1];
-    packed[8 * k + 6] = t.gvalue_[k + 1];
-    packed[8 * k + 7] = t.dgvalue_[k + 1];
+    std::copy(knot[k].begin(), knot[k].end(), packed + 8 * k);
+    std::copy(knot[k + 1].begin(), knot[k + 1].end(), packed + 8 * k + 4);
   }
   return t;
 }
 
 RadialEval RadialTable::evaluate(double r2) const {
-  return evaluate_inline(r2);
+  return evaluate_view(view(), r2);
 }
 
 }  // namespace antmd

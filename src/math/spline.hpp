@@ -42,8 +42,8 @@ struct RadialEval {
 
 /// Flat, by-value snapshot of a RadialTable for hot loops: the evaluation
 /// constants live in the struct (no pointer chase through the table object)
-/// and the knot data is the interleaved packed_ array, so one lookup touches
-/// one or two adjacent cache lines instead of eight scattered ones.
+/// and the knot data is the table's per-bin packed array, so one lookup
+/// touches one 64-byte cache line.
 struct RadialTableView {
   double s_min = 0.0;
   double s_max = 0.0;
@@ -67,63 +67,29 @@ class RadialTable {
       const std::function<double(double)>& denergy_dr, double r_min,
       double r_cut, size_t bins, bool shift_to_zero = true);
 
+  /// One lookup through view(): identical bits to evaluate_view().
   [[nodiscard]] RadialEval evaluate(double r2) const;
-
-  /// Same arithmetic as evaluate(), defined inline so hot kernels get it
-  /// folded into their loop (no call, knot-array base pointers hoisted).
-  /// The two entry points return identical bits for every input.
-  [[nodiscard]] RadialEval evaluate_inline(double r2) const {
-    if (r2 >= s_max_) return {};
-    double s = r2 > s_min_ ? r2 : s_min_;
-    double u = (s - s_min_) * inv_ds_;
-    auto bin = static_cast<size_t>(u);
-    const size_t last = value_.size() - 2;
-    if (bin > last) bin = last;
-    double tloc = u - static_cast<double>(bin);
-
-    // Cubic Hermite basis.
-    double t2 = tloc * tloc;
-    double t3 = t2 * tloc;
-    double h00 = 2 * t3 - 3 * t2 + 1;
-    double h10 = t3 - 2 * t2 + tloc;
-    double h01 = -2 * t3 + 3 * t2;
-    double h11 = t3 - t2;
-
-    RadialEval out;
-    out.energy = h00 * value_[bin] + h10 * ds_ * dvalue_[bin] +
-                 h01 * value_[bin + 1] + h11 * ds_ * dvalue_[bin + 1];
-    out.force_over_r = h00 * gvalue_[bin] + h10 * ds_ * dgvalue_[bin] +
-                       h01 * gvalue_[bin + 1] + h11 * ds_ * dgvalue_[bin + 1];
-    return out;
-  }
 
   /// Snapshot for evaluate_view(); valid while this table is alive and
   /// unmoved (hot kernels build their view grid per call).
   [[nodiscard]] RadialTableView view() const {
-    return {s_min_, s_max_, inv_ds_, ds_, value_.size() - 2,
+    return {s_min_, s_max_, inv_ds_, ds_, bins_ - 1,
             packed_.data() + packed_skip_};
   }
 
-  [[nodiscard]] size_t bins() const { return value_.empty() ? 0
-                                                            : value_.size() - 1; }
+  [[nodiscard]] size_t bins() const { return bins_; }
   [[nodiscard]] double r_cut() const { return r_cut_; }
 
-  /// Visits every byte range a lookup can read — the four knot arrays
-  /// (evaluate/evaluate_inline) and the packed per-bin copy
-  /// (evaluate_view) — as fn(name, data, bytes) with mutable pointers.
-  /// This is the SDC scrubber's registration hook: the table is immutable
-  /// after from_potential(), so a golden CRC of each region taken at build
-  /// time stays valid for the table's whole life, and a mismatch later is
-  /// proof of memory corruption (repairable by memcpy from the mirror).
+  /// Visits the byte range every lookup reads — the packed per-bin knot
+  /// data — as fn(name, data, bytes) with a mutable pointer.  This is the
+  /// SDC scrubber's registration hook: the table is immutable after
+  /// from_potential(), so a golden CRC of the region taken at build time
+  /// stays valid for the table's whole life, and a mismatch later is proof
+  /// of memory corruption (repairable by memcpy from the mirror).
   template <typename Fn>
   void visit_scrub_regions(Fn&& fn) {
-    auto bytes = [](std::vector<double>& v) { return v.size() * sizeof(double); };
-    fn("spline.value", static_cast<void*>(value_.data()), bytes(value_));
-    fn("spline.dvalue", static_cast<void*>(dvalue_.data()), bytes(dvalue_));
-    fn("spline.gvalue", static_cast<void*>(gvalue_.data()), bytes(gvalue_));
-    fn("spline.dgvalue", static_cast<void*>(dgvalue_.data()),
-       bytes(dgvalue_));
-    fn("spline.packed", static_cast<void*>(packed_.data()), bytes(packed_));
+    fn("spline.packed", static_cast<void*>(packed_.data()),
+       packed_.size() * sizeof(double));
   }
 
  private:
@@ -134,28 +100,22 @@ class RadialTable {
   double inv_ds_ = 0.0;
   double ds_ = 0.0;  ///< 1.0 / inv_ds_, cached (spacing used by the basis)
   double r_cut_ = 0.0;
-  // Knot arrays for U(s) and G(s) = -(1/r) dU/dr as functions of s = r².
-  std::vector<double> value_;    // U at knots
-  std::vector<double> dvalue_;   // dU/ds at knots
-  std::vector<double> gvalue_;   // G at knots
-  std::vector<double> dgvalue_;  // dG/ds at knots
-  // Per-bin copy of the knot data, 8 doubles per bin in the order
-  // (value, dvalue, gvalue, dgvalue) for the bin's lower knot followed by
-  // the same four for its upper knot.  Each knot is stored twice (once per
-  // adjacent bin) so one lookup reads exactly one 64-byte cache line;
-  // packed_skip_ is the element offset that made the first bin's slot
-  // 64-byte-aligned when the table was built (copies may lose alignment,
-  // which costs nothing but speed).
+  size_t bins_ = 0;
+  // The knot data of U(s) and G(s) = -(1/r) dU/dr as functions of s = r²,
+  // 8 doubles per bin in the order (U, dU/ds, G, dG/ds) for the bin's lower
+  // knot followed by the same four for its upper knot.  Each knot is stored
+  // twice (once per adjacent bin) so one lookup reads exactly one 64-byte
+  // cache line; packed_skip_ is the element offset that made the first
+  // bin's slot 64-byte-aligned when the table was built (copies may lose
+  // alignment, which costs nothing but speed).
   std::vector<double> packed_;
   size_t packed_skip_ = 0;
 };
 
-/// Same arithmetic as RadialTable::evaluate_inline(), reading the per-bin
-/// packed layout through a RadialTableView, without the above-cutoff test:
-/// the caller must guarantee r2 < s_max (hot kernels have already applied
-/// the cutoff, which equals s_max).  Every product and sum appears in the
-/// same order on the same values, so results are bit-identical to the
-/// member entry points for every in-range input.
+/// The table lookup, reading the per-bin packed layout through a
+/// RadialTableView, without the above-cutoff test: the caller must
+/// guarantee r2 < s_max (hot kernels have already applied the cutoff,
+/// which equals s_max).  Below s_min the lookup clamps to the first knot.
 [[nodiscard]] inline RadialEval evaluate_view_incutoff(
     const RadialTableView& v, double r2) {
   double s = r2 > v.s_min ? r2 : v.s_min;

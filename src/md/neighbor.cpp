@@ -125,14 +125,14 @@ void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
     }
   };
 
-  if (exec_ && exec_->parallel() && cells.nz() > 1) {
+  if (runtime_ && runtime_->parallel() && cells.nz() > 1) {
     // Each z-slice fills its own vector; concatenation in ascending slice
     // order plus the final sort below leaves pairs_ independent of thread
     // scheduling (the sort alone already guarantees that, the fixed order
     // just keeps intermediate state reproducible too).
     std::vector<std::vector<ff::PairEntry>> slices(
         static_cast<size_t>(cells.nz()));
-    exec_->parallel_for(slices.size(), [&](size_t cz) {
+    runtime_->parallel_for(slices.size(), [&](size_t cz) {
       enumerate_slice(static_cast<int>(cz), slices[cz]);
     });
     size_t total = 0;

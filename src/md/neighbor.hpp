@@ -14,7 +14,7 @@
 #include "ff/nonbonded_cluster.hpp"
 #include "math/pbc.hpp"
 #include "topo/topology.hpp"
-#include "util/execution.hpp"
+#include "util/task_graph.hpp"
 
 namespace antmd::md {
 
@@ -76,11 +76,12 @@ class NeighborList {
   [[nodiscard]] double skin() const { return skin_; }
   [[nodiscard]] uint64_t build_count() const { return build_count_; }
 
-  /// Opts the list into threaded rebuilds.  Cell slices are enumerated
-  /// concurrently and concatenated in slice order; the final sort makes the
-  /// pair vector identical to the serial build regardless of thread count.
-  void set_execution(std::shared_ptr<ExecutionContext> exec) {
-    exec_ = std::move(exec);
+  /// Opts the list into threaded rebuilds on `runtime`.  Cell slices are
+  /// enumerated concurrently and concatenated in slice order; the final
+  /// sort makes the pair vector identical to the serial build regardless of
+  /// thread count.
+  void set_execution(std::shared_ptr<util::TaskRuntime> runtime) {
+    runtime_ = std::move(runtime);
   }
 
  private:
@@ -97,7 +98,7 @@ class NeighborList {
   ff::ClusterPairList clusters_;
   std::vector<Vec3> reference_positions_;
   uint64_t build_count_ = 0;
-  std::shared_ptr<ExecutionContext> exec_;  ///< null = serial build
+  std::shared_ptr<util::TaskRuntime> runtime_;  ///< null = serial build
   /// Last atom seen beyond half-skin: checked first for an O(1) positive
   /// skin-check exit while that atom keeps drifting.
   mutable uint32_t hot_atom_ = 0;

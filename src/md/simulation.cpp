@@ -48,6 +48,31 @@ MdMetrics& md_metrics() {
   return m;
 }
 
+// The host's slot plan over `list`: slot 0 holds the whole system's bonded
+// terms — and every flat pair when the list has no tiles — then one slot
+// per tile chunk.  Slot 0 merges first, so the bonded virial sums exactly
+// as if the terms were added straight into the result, and the chunk
+// boundaries depend on the tile count alone.  Returns the tile list the
+// slots index (null without tiles).
+const ff::ClusterPairList* plan_host_slots(const ForceField& ff,
+                                           const NeighborList& list,
+                                           std::vector<ForceSlot>& slots) {
+  const bool cluster = list.cluster_mode();
+  slots.assign(1, ForceSlot{ff.bonded_terms(),
+                            cluster ? std::span<const ff::PairEntry>{}
+                                    : list.pairs(),
+                            {}});
+  if (!cluster) return nullptr;
+  const ff::ClusterPairList& tiles = list.clusters();
+  const util::ChunkPlan plan = ff::cluster_chunk_plan(tiles);
+  const std::span<const ff::ClusterPairEntry> entries = tiles.entries;
+  for (size_t c = 0; c < plan.chunks; ++c) {
+    const size_t lo = plan.begin(c);
+    slots.push_back({{}, {}, entries.subspan(lo, plan.end(c) - lo)});
+  }
+  return &tiles;
+}
+
 }  // namespace
 
 double potential_energy(const ForceField& ff, std::span<const Vec3> positions,
@@ -58,17 +83,18 @@ double potential_energy(const ForceField& ff, std::span<const Vec3> positions,
 
   NeighborList list(topo, ff.model().cutoff, 0.0);
   list.build(pos, box);
+  std::vector<ForceSlot> slots;
+  const ff::ClusterPairList* tiles = plan_host_slots(ff, list, slots);
 
-  ForceResult res(topo.atom_count());
-  ff.compute_bonded(pos, box, time, res);
-  ff.compute_nonbonded(list.pairs(), pos, box, res);
-  if (ff.has_kspace()) {
-    // A solver gridded for `box`: the field's own solver is gridded for
-    // the box it last saw, and a trial box needs its own grid.
-    GseSolver solver(box, ff.gse()->params());
-    solver.compute(pos, ff.kspace_charges(), ff.excluded_pairs(), box, res);
-  }
-  return res.energy.total();
+  ForceGraph graph(ff, nullptr,
+                   {.graph = "md.energy",
+                    .slots = "md.energy.slots",
+                    .reduce = "md.energy.reduce"});
+  ForceResult out(topo.atom_count());
+  ForceResult kspace(topo.atom_count());
+  graph.run({pos, box, time, ForceTerms::kAll, /*kspace_due=*/true, slots,
+             tiles, &out, &kspace});
+  return out.energy.total();
 }
 
 void SimulationConfig::validate() const {
@@ -84,6 +110,12 @@ void SimulationConfig::validate() const {
     throw ConfigError("kspace_interval must be >= 1, got " +
                             std::to_string(kspace_interval));
   }
+  if (respa_inner > 1 && barostat.kind != BarostatKind::kNone) {
+    throw ConfigError(
+        "a barostat needs the virial of one full evaluation per step, which "
+        "RESPA's split passes do not produce: respa_inner must be 1 with a "
+        "barostat, got " + std::to_string(respa_inner));
+  }
   if (!(neighbor_skin >= 0)) {
     throw ConfigError("neighbor_skin must be >= 0, got " +
                             std::to_string(neighbor_skin));
@@ -93,26 +125,23 @@ void SimulationConfig::validate() const {
 namespace {
 
 // The host's force provider.  The neighbor list is updated first (its
-// rebuild fans out over the lanes itself), then the force graph runs one
-// slot with the whole system's bonded terms — and every flat pair under the
-// pair kernel — and one slot per tile chunk.  Slot 0 merges first, so the
-// bonded virial sums exactly as if the terms were added straight into the
-// result, and the chunk boundaries depend on the tile count alone.
+// rebuild fans out over the lanes itself), then the force graph runs the
+// host slot plan (plan_host_slots).
 class StepGraphForces final : public ForceProvider {
  public:
   StepGraphForces(ForceField& ff, const SimulationConfig& config)
       : ff_(&ff),
         nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
                config.nonbonded_kernel == ff::NonbondedKernel::kCluster),
-        exec_(ExecutionContext::create(config.execution)),
-        graph_(ff, exec_->runtime(),
+        runtime_(util::TaskRuntime::create(config.execution)),
+        graph_(ff, runtime_,
                {.graph = "md.step",
                 .slots = "md.nonbonded",
                 .reduce = "md.reduce",
                 .kspace_ns = &md_metrics().kspace_ns,
                 .bonded_ns = &md_metrics().bonded_ns,
                 .nonbonded_ns = &md_metrics().nonbonded_ns}) {
-    nlist_.set_execution(exec_);
+    nlist_.set_execution(runtime_);
   }
 
   void init(State& state, const SimulationConfig& /*config*/) override {
@@ -131,28 +160,15 @@ class StepGraphForces final : public ForceProvider {
     const bool nonbonded = request.terms != ForceTerms::kBonded;
     if (nonbonded) nlist_.update(state.positions, state.box);
 
-    const bool cluster = nlist_.cluster_mode();
-    const ff::ClusterPairList* tiles = cluster ? &nlist_.clusters() : nullptr;
-    slots_.assign(1, ForceSlot{ff_->bonded_terms(),
-                               cluster ? std::span<const ff::PairEntry>{}
-                                       : nlist_.pairs(),
-                               {}});
-    if (tiles != nullptr) {
-      const util::ChunkPlan plan = ff::cluster_chunk_plan(*tiles);
-      const std::span<const ff::ClusterPairEntry> entries = tiles->entries;
-      for (size_t c = 0; c < plan.chunks; ++c) {
-        const size_t lo = plan.begin(c);
-        slots_.push_back({{}, {}, entries.subspan(lo, plan.end(c) - lo)});
-      }
-    }
+    const ff::ClusterPairList* tiles = plan_host_slots(*ff_, nlist_, slots_);
     graph_.run({state.positions, state.box, state.time, request.terms,
                 request.kspace_due, slots_, tiles, &out, &kspace_cache});
     if (!nonbonded) return;
 
     poll_force_fault(out);
     if (obs::enabled()) {
-      md_metrics().nonbonded_kernel.set(cluster ? 1.0 : 0.0);
-      if (cluster) {
+      md_metrics().nonbonded_kernel.set(tiles != nullptr ? 1.0 : 0.0);
+      if (tiles != nullptr) {
         md_metrics().cluster_fill.set(tiles->fill_ratio());
         md_metrics().nonbonded_isa.set(
             static_cast<double>(ff::active_kernel_isa()));
@@ -167,7 +183,7 @@ class StepGraphForces final : public ForceProvider {
  private:
   ForceField* ff_;
   NeighborList nlist_;
-  std::shared_ptr<ExecutionContext> exec_;
+  std::shared_ptr<util::TaskRuntime> runtime_;
   ForceGraph graph_;
   std::vector<ForceSlot> slots_;  ///< refreshed per evaluation
 };
@@ -209,7 +225,6 @@ Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
                     state_);
   }
 
-  ff_->on_box_changed(state_.box);
   if (config.barostat.kind != BarostatKind::kNone) {
     barostat_.emplace(topo, config.barostat,
                       [this](std::span<const Vec3> pos, const Box& b) {
@@ -318,8 +333,7 @@ void Simulation::step() {
   const double step_start_us = obs::enabled() ? obs::now_us() : 0.0;
   const bool kspace_due =
       (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  const bool respa = config_.respa_inner > 1;
-  if (respa) {
+  if (config_.respa_inner > 1) {
     advance_respa(kspace_due);
   } else {
     advance_verlet(kspace_due);
@@ -329,10 +343,9 @@ void Simulation::step() {
   state_.time += dt_;
   thermostat_.apply(state_, dt_);
 
-  // The barostat reads the virial of one full evaluation, so it acts on
-  // Verlet steps only; RESPA runs have never applied it.
-  if (barostat_ && !respa &&
-      barostat_->maybe_apply_tensor(state_, current_.virial)) {
+  // validate() admits a barostat on Verlet steps only: it reads the virial
+  // of one full evaluation.
+  if (barostat_ && barostat_->maybe_apply_tensor(state_, current_.virial)) {
     refresh_forces(/*restoring=*/false);
   }
 
@@ -368,7 +381,6 @@ void Simulation::rescale_velocities(double factor) {
 void Simulation::invalidate_forces() { refresh_forces(/*restoring=*/false); }
 
 void Simulation::refresh_forces(bool restoring) {
-  ff_->on_box_changed(state_.box);
   provider_->rebuild(state_);
   if (!restoring) {
     compute(ForceTerms::kAll, /*kspace_due=*/true, current_);

@@ -52,16 +52,21 @@ struct SimulationConfig {
   ExecutionConfig execution;
 
   /// Throws ConfigError if any field is out of range (dt_fs > 0,
-  /// respa_inner >= 1, kspace_interval >= 1, neighbor_skin >= 0).  Called by
-  /// the Simulation constructor and SimulationBuilder::build().
+  /// respa_inner >= 1, kspace_interval >= 1, neighbor_skin >= 0) or when
+  /// respa_inner > 1 is combined with a barostat.  Called by the Simulation
+  /// constructor and SimulationBuilder::build().
   void validate() const;
 };
 
-/// Full potential energy of `positions` in `box` under `ff`: virtual sites
-/// constructed, a fresh neighbor list, and k-space (when configured) on a
-/// solver gridded for `box` with the field's scaled charges.  The one
-/// trial-state evaluator: the MC barostat's trial boxes and the H-REMD and
-/// FEP cross-Hamiltonian energies all go through it.
+/// Full potential energy of `positions` in `box` under `ff`: one serial run
+/// of the step's md::ForceGraph over the host slot plan, on a flat neighbor
+/// list (skin 0) built at `positions` with virtual sites constructed, and
+/// k-space (when configured) gridded for `box`.  Energies are fixed-point
+/// sums, so this equals, bit for bit, the energy a Simulation of `ff`
+/// reports after a full evaluation (k-space due) at the same state.  The
+/// one trial-state evaluator: the MC barostat's
+/// trial boxes and the H-REMD and FEP cross-Hamiltonian energies all go
+/// through it.
 [[nodiscard]] double potential_energy(const ForceField& ff,
                                       std::span<const Vec3> positions,
                                       const Box& box, double time = 0.0);

@@ -54,8 +54,8 @@ DistributedEngine::DistributedEngine(ForceField& ff,
       torus_(config),
       options_(options),
       decomp_(torus_, Box()),
-      exec_(ExecutionContext::create(options.execution)),
-      graph_(ff, exec_->runtime(),
+      runtime_(util::TaskRuntime::create(options.execution)),
+      graph_(ff, runtime_,
              {.graph = "runtime.evaluate",
               .slots = "runtime.node_eval",
               .reduce = "runtime.reduce",
@@ -166,7 +166,7 @@ void DistributedEngine::redistribute(std::span<const Vec3> positions,
     for (double q : topo.charges()) {
       if (q != 0.0) ++charged;
     }
-    const GseWorkload gw = ff_->gse()->workload(charged);
+    const GseWorkload gw = ff_->gse()->workload(box, charged);
     kspace_work_ = {.active = true,
                     .grid_points = gw.grid_points,
                     .charges = gw.charges,

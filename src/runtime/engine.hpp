@@ -91,8 +91,8 @@ class DistributedEngine {
   [[nodiscard]] const machine::TorusTopology& torus() const { return torus_; }
   /// Shared so the machine force provider (MachineForces) can reuse the
   /// same pool for neighbor-list rebuilds.
-  [[nodiscard]] const std::shared_ptr<ExecutionContext>& execution() const {
-    return exec_;
+  [[nodiscard]] const std::shared_ptr<util::TaskRuntime>& runtime() const {
+    return runtime_;
   }
 
  private:
@@ -148,7 +148,7 @@ class DistributedEngine {
   std::vector<char> failed_;  ///< per-node failure flags (empty = all alive)
   uint64_t generation_ = 0;   ///< ff_->generation() at the last redistribute
   machine::GcCosts costs_;
-  std::shared_ptr<ExecutionContext> exec_;
+  std::shared_ptr<util::TaskRuntime> runtime_;
   /// Mutable: its partial sums are scratch, and evaluation is logically
   /// const.
   mutable md::ForceGraph graph_;

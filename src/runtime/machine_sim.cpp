@@ -103,7 +103,7 @@ MachineForces::MachineForces(ForceField& ff,
       engine_(ff, machine_cfg, EngineOptions{.execution = config.execution}),
       nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
              config.nonbonded_kernel == ff::NonbondedKernel::kCluster) {
-  nlist_.set_execution(engine_.execution());
+  nlist_.set_execution(engine_.runtime());
 }
 
 void MachineForces::init(State& state, const md::SimulationConfig& config) {

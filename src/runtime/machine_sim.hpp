@@ -46,7 +46,7 @@ struct MachineSimConfig : md::SimulationConfig {
 /// The machine's force provider: the DistributedEngine evaluates every term
 /// across the modeled nodes, and each evaluation except a restore's is
 /// charged to the timing model and the reliable transport.  Its neighbor
-/// list and engine share one ExecutionContext.
+/// list and engine share one util::TaskRuntime.
 class MachineForces final : public md::ForceProvider {
  public:
   MachineForces(ForceField& ff, const machine::MachineConfig& machine,

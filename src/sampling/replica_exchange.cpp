@@ -51,8 +51,7 @@ TemperatureReplicaExchange::TemperatureReplicaExchange(
       temperatures_(std::move(temperatures)),
       attempt_interval_(attempt_interval),
       rng_(seed),
-      exec_(ExecutionContext::create(execution)),
-      replica_graph_(exec_->runtime(), "sampling.remd") {
+      replica_graph_(util::TaskRuntime::create(execution), "sampling.remd") {
   ANTMD_REQUIRE(replicas_.size() >= 2, "need >= 2 replicas");
   ANTMD_REQUIRE(replicas_.size() == temperatures_.size(),
                 "replica/temperature count mismatch");
@@ -134,8 +133,7 @@ HamiltonianReplicaExchange::HamiltonianReplicaExchange(
       temperature_k_(temperature_k),
       attempt_interval_(attempt_interval),
       rng_(seed),
-      exec_(ExecutionContext::create(execution)),
-      replica_graph_(exec_->runtime(), "sampling.hremd") {
+      replica_graph_(util::TaskRuntime::create(execution), "sampling.hremd") {
   ANTMD_REQUIRE(replicas_.size() >= 2, "need >= 2 replicas");
   stats_.attempts.assign(replicas_.size() - 1, 0);
   stats_.accepts.assign(replicas_.size() - 1, 0);

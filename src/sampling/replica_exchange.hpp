@@ -67,9 +67,9 @@ class TemperatureReplicaExchange : public util::Checkpointable {
   SequentialRng rng_;
   ExchangeStats stats_;
   uint64_t rounds_ = 0;
-  std::shared_ptr<ExecutionContext> exec_;
-  /// One parallel node over the replica set, reused across exchange
-  /// rounds; chunk_ is the per-round step count its body reads.
+  /// One parallel node over the replica set on the execution config's
+  /// pool, reused across exchange rounds; chunk_ is the per-round step
+  /// count its body reads.
   util::TaskGraph replica_graph_;
   size_t chunk_ = 0;
 };
@@ -97,7 +97,6 @@ class HamiltonianReplicaExchange {
   SequentialRng rng_;
   ExchangeStats stats_;
   uint64_t rounds_ = 0;
-  std::shared_ptr<ExecutionContext> exec_;
   util::TaskGraph replica_graph_;  ///< see TemperatureReplicaExchange
   size_t chunk_ = 0;
 };

@@ -79,17 +79,6 @@ void Topology::add_virtual_site(const VirtualSite& v) {
   virtual_sites_.push_back(v);
 }
 
-void Topology::add_pair14(uint32_t i, uint32_t j, double lj_scale,
-                          double coulomb_scale) {
-  pairs14_.push_back(Pair14{i, j, lj_scale, coulomb_scale});
-  exclusions_.insert(pair_key(i, j));
-}
-
-void Topology::add_exclusion(uint32_t i, uint32_t j) {
-  ANTMD_REQUIRE(i != j, "cannot exclude an atom from itself");
-  exclusions_.insert(pair_key(i, j));
-}
-
 void Topology::add_molecule(uint32_t first, uint32_t count, std::string name) {
   molecules_.push_back(Molecule{first, count, std::move(name)});
 }

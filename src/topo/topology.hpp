@@ -133,9 +133,6 @@ class Topology {
                       double r_native);
   void add_constraint(uint32_t i, uint32_t j, double r0);
   void add_virtual_site(const VirtualSite& v);
-  void add_pair14(uint32_t i, uint32_t j, double lj_scale,
-                  double coulomb_scale);
-  void add_exclusion(uint32_t i, uint32_t j);
   /// Marks [first, first+count) as one molecule.
   void add_molecule(uint32_t first, uint32_t count, std::string name);
 

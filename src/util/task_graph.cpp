@@ -7,6 +7,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/execution.hpp"
 
 namespace antmd::util {
 
@@ -77,6 +78,12 @@ ExecMetrics& exec_metrics() {
   return m;
 }
 
+/// `lanes`, with 0 meaning hardware_concurrency (min 1).
+size_t resolve_lanes(size_t lanes) {
+  if (lanes == 0) lanes = std::thread::hardware_concurrency();
+  return lanes == 0 ? 1 : lanes;
+}
+
 }  // namespace
 
 void TaskGraph::SpinLock::pause() { cpu_pause(); }
@@ -101,11 +108,7 @@ ChunkPlan plan_chunks(size_t items, size_t min_per_chunk, size_t max_chunks) {
 // TaskRuntime
 
 TaskRuntime::TaskRuntime(size_t lanes) {
-  if (lanes == 0) {
-    lanes = std::thread::hardware_concurrency();
-    if (lanes == 0) lanes = 1;
-  }
-  lanes_ = lanes;
+  lanes_ = resolve_lanes(lanes);
   workers_.reserve(lanes_ - 1);
   for (size_t lane = 1; lane < lanes_; ++lane) {
     workers_.emplace_back([this, lane] { worker_loop(lane); });
@@ -123,6 +126,12 @@ TaskRuntime::~TaskRuntime() {
 
 std::shared_ptr<TaskRuntime> TaskRuntime::create(size_t lanes) {
   return std::make_shared<TaskRuntime>(lanes);
+}
+
+std::shared_ptr<TaskRuntime> TaskRuntime::create(const ExecutionConfig& config) {
+  const size_t lanes = resolve_lanes(config.threads);
+  if (lanes > 1 && config.shared_runtime) return config.shared_runtime;
+  return create(lanes);
 }
 
 size_t TaskRuntime::current_lane() { return tl_lane; }

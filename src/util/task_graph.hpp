@@ -51,6 +51,10 @@
 #include <thread>
 #include <vector>
 
+namespace antmd {
+struct ExecutionConfig;
+}
+
 namespace antmd::util {
 
 /// Deterministic chunk partition: splits `items` into at most `max_chunks`
@@ -75,10 +79,10 @@ struct ChunkPlan {
 
 class TaskGraph;
 
-/// Persistent worker pool shared by every graph of one simulation.  One per
-/// ExecutionContext; cheap to share via shared_ptr between an engine and
-/// its neighbor list.  `lanes` counts the calling thread, so lanes == 1
-/// spawns no workers at all.
+/// Persistent worker pool shared by every graph of one simulation: its
+/// engine, neighbor list, tile fan-out and replica driver hold the same
+/// shared_ptr.  `lanes` counts the calling thread, so lanes == 1 spawns no
+/// workers at all.
 class TaskRuntime : public std::enable_shared_from_this<TaskRuntime> {
  public:
   /// `lanes` == 0 uses hardware_concurrency (min 1).
@@ -89,6 +93,10 @@ class TaskRuntime : public std::enable_shared_from_this<TaskRuntime> {
   TaskRuntime& operator=(const TaskRuntime&) = delete;
 
   static std::shared_ptr<TaskRuntime> create(size_t lanes = 0);
+  /// The pool `config` asks for: `config.shared_runtime` when the resolved
+  /// lane count is above 1 and a shared pool is set, a new pool of that
+  /// many lanes otherwise (1 lane: no worker threads).  Never null.
+  static std::shared_ptr<TaskRuntime> create(const ExecutionConfig& config);
 
   [[nodiscard]] size_t lanes() const { return lanes_; }
   [[nodiscard]] bool parallel() const { return lanes_ > 1; }

@@ -549,6 +549,28 @@ TEST(ConfigValidation, RejectsOutOfRangeFields) {
   EXPECT_THROW(cfg.validate(), ConfigError);
 }
 
+// A barostat reads the virial of one full evaluation, which RESPA's split
+// passes never produce: the combination is a ConfigError (antmd_run exit
+// 2), not a run whose barostat silently never acts.
+TEST(ConfigValidation, RejectsRespaWithBarostat) {
+  auto spec = build_lj_fluid(125, 0.021, 1);
+  ForceField field(spec.topology, lj_model());
+  for (md::BarostatKind kind :
+       {md::BarostatKind::kBerendsen, md::BarostatKind::kMonteCarlo,
+        md::BarostatKind::kBerendsenSemiIso}) {
+    auto cfg = langevin_config(120);
+    cfg.barostat.kind = kind;
+    EXPECT_NO_THROW(cfg.validate())
+        << "barostat kind " << static_cast<int>(kind);
+    cfg.respa_inner = 2;
+    EXPECT_THROW(cfg.validate(), ConfigError)
+        << "barostat kind " << static_cast<int>(kind);
+    EXPECT_THROW(md::Simulation(field, spec.positions, spec.box, cfg),
+                 ConfigError)
+        << "barostat kind " << static_cast<int>(kind);
+  }
+}
+
 TEST(ConfigValidation, SimulationConstructorValidates) {
   auto spec = build_lj_fluid(125, 0.021, 1);
   ForceField field(spec.topology, lj_model());

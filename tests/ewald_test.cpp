@@ -84,7 +84,7 @@ TEST(Gse, MadelungConstantNaCl) {
   GseParams params;
   params.beta = 0.9;          // sharp split: small real-space cutoff works
   params.grid_spacing = 0.25; // fine grid for a tight lattice
-  GseSolver solver(box, params);
+  GseSolver solver(params);
   double energy = total_ewald_energy(solver, box, pos, charges, 11.0);
 
   // Madelung: lattice energy per ion pair = -M kC q²/a with M = 1.747565,
@@ -113,7 +113,7 @@ TEST(Gse, MatchesDirectKspaceSum) {
   GseParams params;
   params.beta = 0.4;
   params.grid_spacing = 0.5;
-  GseSolver solver(box, params);
+  GseSolver solver(params);
 
   ForceResult grid_result(20);
   solver.compute(pos, charges, {}, box, grid_result);
@@ -185,7 +185,7 @@ TEST(Gse, GridForcesTrackReferenceAcrossParameters) {
     GseParams params;
     params.beta = beta;
     params.grid_spacing = 0.4;
-    GseSolver solver(box, params);
+    GseSolver solver(params);
     ForceResult grid(4), ref(4);
     solver.compute(pos, charges, {}, box, grid);
     GseSolver::compute_reference(pos, charges, {}, box, beta, 12, ref);
@@ -215,7 +215,7 @@ TEST(Gse, NetForceIsSmall) {
   GseParams params;
   params.beta = 0.4;
   params.grid_spacing = 0.5;
-  GseSolver solver(box, params);
+  GseSolver solver(params);
   ForceResult out(30);
   solver.compute(pos, charges, {}, box, out);
   Vec3 total{};
@@ -238,7 +238,7 @@ TEST(Gse, ExclusionCorrectionCancelsReciprocalPair) {
   GseParams params;
   params.beta = 0.4;
   params.grid_spacing = 0.5;
-  GseSolver solver(box, params);
+  GseSolver solver(params);
 
   ForceResult plain(2), excluded(2);
   solver.compute(pos, charges, {}, box, plain);
@@ -263,7 +263,7 @@ TEST(Gse, ChargedSystemGetsBackgroundTerm) {
   GseParams params;
   params.beta = 0.4;
   params.grid_spacing = 0.5;
-  GseSolver solver(box, params);
+  GseSolver solver(params);
   ForceResult out(1);
   solver.compute(pos, charges, {}, box, out);
   double expected_bg = -units::kCoulomb * M_PI /
@@ -273,22 +273,57 @@ TEST(Gse, ChargedSystemGetsBackgroundTerm) {
               1e-9);
 }
 
-TEST(Gse, GridSizesArePow2AndRebuildTracksBox) {
+// The solver holds no box: one solver evaluated at box A, then B, then A
+// again matches a fresh solver at each box bit for bit, and nx()/ny()/nz()
+// report the power-of-two grid of the box it evaluated last.
+TEST(Gse, GridFollowsTheEvaluatedBox) {
   GseParams params;
   params.grid_spacing = 1.0;
-  GseSolver solver(Box(20, 40, 10), params);
-  EXPECT_EQ(solver.nx(), 32u);
-  EXPECT_EQ(solver.ny(), 64u);
-  EXPECT_EQ(solver.nz(), 16u);
-  solver.rebuild(Box::cubic(50));
-  EXPECT_EQ(solver.nx(), 64u);
+  const Box a(20, 40, 10);
+  const Box b = Box::cubic(50);
+  SequentialRng rng(9);
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  for (int i = 0; i < 60; ++i) {
+    pos.push_back(Vec3{rng.uniform(0, 20), rng.uniform(0, 40),
+                       rng.uniform(0, 10)});
+    charges.push_back(i % 2 == 0 ? 0.5 : -0.5);
+  }
+
+  const GseSolver solver(params);
+  EXPECT_EQ(solver.nx(), 0u);  // no evaluation yet
+  struct Visit {
+    Box box;
+    size_t nx, ny, nz;
+  };
+  for (const Visit& v : {Visit{a, 32, 64, 16}, Visit{b, 64, 64, 64},
+                         Visit{a, 32, 64, 16}}) {
+    SCOPED_TRACE(testing::Message() << "box edge x " << v.box.edges().x);
+    ForceResult shared(pos.size());
+    ForceResult fresh(pos.size());
+    solver.compute(pos, charges, {}, v.box, shared);
+    GseSolver(params).compute(pos, charges, {}, v.box, fresh);
+    EXPECT_EQ(shared.forces, fresh.forces);
+    EXPECT_EQ(shared.energy.coulomb_kspace.raw(),
+              fresh.energy.coulomb_kspace.raw());
+    EXPECT_EQ(shared.energy.coulomb_self.raw(),
+              fresh.energy.coulomb_self.raw());
+    for (int k = 0; k < 9; ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(shared.virial.m[k]),
+                std::bit_cast<uint64_t>(fresh.virial.m[k]))
+          << "virial component " << k;
+    }
+    EXPECT_EQ(solver.nx(), v.nx);
+    EXPECT_EQ(solver.ny(), v.ny);
+    EXPECT_EQ(solver.nz(), v.nz);
+  }
 }
 
 TEST(Gse, WorkloadReportsSensibleNumbers) {
   GseParams params;
-  GseSolver solver(Box::cubic(32), params);
-  auto w = solver.workload(1000);
-  EXPECT_EQ(w.grid_points, solver.nx() * solver.ny() * solver.nz());
+  GseSolver solver(params);
+  auto w = solver.workload(Box::cubic(32), 1000);
+  EXPECT_EQ(w.grid_points, 32u * 32u * 32u);
   EXPECT_GT(w.spread_stencil_points, 26u);
   EXPECT_EQ(w.charges, 1000u);
   EXPECT_GT(w.fft_flops, 0.0);
@@ -298,7 +333,7 @@ TEST(Gse, WaterBoxTotalElectrostaticsIsCohesive) {
   auto spec = build_water_box(64, WaterModel::kRigid3Site);
   GseParams params;
   params.beta = 0.35;
-  GseSolver solver(spec.box, params);
+  GseSolver solver(params);
   ForceResult out(spec.topology.atom_count());
   solver.compute(spec.positions, spec.topology.charges(),
                  spec.topology.excluded_pairs(), spec.box, out);
@@ -324,7 +359,12 @@ struct StagedCase {
 StagedCase make_case(std::string name, Box box, GseParams params,
                      uint64_t seed) {
   StagedCase c{std::move(name), box, params, {}, {}, {}};
-  const GseSolver solver(box, params);
+  // One uncharged atom grids the solver for `box`.
+  const GseSolver solver(params);
+  const std::vector<Vec3> probe_pos(1);
+  const std::vector<double> probe_charge(1, 0.0);
+  ForceResult probe(1);
+  solver.compute(probe_pos, probe_charge, {}, box, probe);
   const Vec3 e = box.edges();
   const Vec3 h{e.x / static_cast<double>(solver.nx()),
                e.y / static_cast<double>(solver.ny()),
@@ -389,7 +429,7 @@ ForceResult run_staged(const GseSolver& solver, const StagedCase& c,
 
 TEST(GseStages, BitIdenticalToSerialAtAnyLaneCount) {
   for (const StagedCase& c : staged_cases()) {
-    const GseSolver solver(c.box, c.params);
+    const GseSolver solver(c.params);
     ForceResult serial(c.pos.size());
     solver.compute(c.pos, c.charges, c.excluded, c.box, serial);
     ASSERT_NE(serial.energy.coulomb_kspace.raw(), 0) << c.name;
@@ -418,12 +458,20 @@ TEST(GseStages, BitIdenticalToSerialAtAnyLaneCount) {
 
 TEST(GseStages, CasesCoverTheGridEdges) {
   const std::vector<StagedCase> cases = staged_cases();
-  const GseSolver tight(cases[1].box, cases[1].params);
+  auto evaluated = [](const StagedCase& c) {
+    GseSolver solver(c.params);
+    ForceResult out(c.pos.size());
+    solver.compute(c.pos, c.charges, c.excluded, c.box, out);
+    return solver;
+  };
+  const GseSolver tight = evaluated(cases[1]);
   EXPECT_EQ(tight.nx(), 8u);
-  EXPECT_EQ(tight.workload(1).spread_stencil_points, 7u * 7u * 7u);
-  const GseSolver smallest(cases[2].box, cases[2].params);
+  EXPECT_EQ(tight.workload(cases[1].box, 1).spread_stencil_points,
+            7u * 7u * 7u);
+  const GseSolver smallest = evaluated(cases[2]);
   EXPECT_EQ(smallest.nz(), 4u);
-  EXPECT_EQ(smallest.workload(1).spread_stencil_points, 3u * 3u * 3u);
+  EXPECT_EQ(smallest.workload(cases[2].box, 1).spread_stencil_points,
+            3u * 3u * 3u);
 }
 
 }  // namespace

@@ -434,7 +434,6 @@ TEST(ForceField, FullEvaluationOnWaterRunsAndIsFinite) {
   model.cutoff = 7.0;
   model.electrostatics = ff::Electrostatics::kEwaldReal;
   ForceField field(spec.topology, model);
-  field.on_box_changed(spec.box);
 
   // Build a naive all-pairs list within cutoff.
   std::vector<ff::PairEntry> pairs;
@@ -450,7 +449,8 @@ TEST(ForceField, FullEvaluationOnWaterRunsAndIsFinite) {
   // The full evaluation, term by term (flexible water has no virtual
   // sites to construct or spread).
   ForceResult out(spec.topology.atom_count());
-  field.compute_bonded(spec.positions, spec.box, 0.0, out);
+  field.compute_bonded_terms(field.bonded_terms(), spec.positions, spec.box,
+                             0.0, out);
   field.compute_nonbonded(pairs, spec.positions, spec.box, out);
   field.compute_kspace(spec.positions, spec.box, out);
   EXPECT_TRUE(std::isfinite(out.energy.total()));

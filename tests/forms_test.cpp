@@ -282,7 +282,7 @@ TEST(ForceFieldForms, NewTermsFlowThroughComputeBonded) {
                            {4.0, 1.0, 0.6}};
   Box box = Box::cubic(30);
   ForceResult out(4);
-  field.compute_bonded(pos, box, 0.0, out);
+  field.compute_bonded_terms(field.bonded_terms(), pos, box, 0.0, out);
   EXPECT_GT(out.energy.bond.value(), 0.0);      // Morse contributes
   EXPECT_GT(out.energy.angle.value(), 0.0);     // UB contributes
   EXPECT_GE(out.energy.dihedral.value(), 0.0);  // improper contributes

@@ -62,15 +62,16 @@ KernelResults evaluate_both(const SystemSpec& spec, ForceField& ffield) {
   r.cluster_list.build(spec.positions, spec.box);
   r.clusters = &r.cluster_list.clusters();
 
-  ffield.compute_bonded(spec.positions, spec.box, 0.0, r.pair);
+  ffield.compute_bonded_terms(ffield.bonded_terms(), spec.positions, spec.box,
+                              0.0, r.pair);
   ffield.compute_nonbonded(r.pair_list.pairs(), spec.positions, spec.box,
                            r.pair);
 
-  ffield.compute_bonded(spec.positions, spec.box, 0.0, r.cluster);
+  ffield.compute_bonded_terms(ffield.bonded_terms(), spec.positions, spec.box,
+                              0.0, r.cluster);
   ffield.compute_nonbonded_clusters(*r.clusters, spec.positions, spec.box,
                                     r.cluster);
   if (ffield.has_kspace()) {
-    ffield.on_box_changed(spec.box);
     ffield.compute_kspace(spec.positions, spec.box, r.pair);
     ffield.compute_kspace(spec.positions, spec.box, r.cluster);
   }
@@ -278,9 +279,9 @@ TEST(GoldenTest, ClusterKernelThreadInvariance) {
 
   auto run_with = [&](size_t threads) {
     ForceResult res(spec.topology.atom_count());
-    auto exec = ExecutionContext::create(ExecutionConfig{threads});
+    auto runtime = util::TaskRuntime::create(ExecutionConfig{threads});
     ffield.compute_nonbonded_clusters(list.clusters(), spec.positions,
-                                      spec.box, res, exec.get());
+                                      spec.box, res, runtime.get());
     return res;
   };
 

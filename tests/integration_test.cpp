@@ -151,7 +151,6 @@ TEST(Integration, WorkloadEstimatorTracksFunctionalEngine) {
   model.electrostatics = ff::Electrostatics::kEwaldReal;
   model.ewald_beta = 0.4;
   ForceField field(spec.topology, model);
-  field.on_box_changed(spec.box);
 
   const int edge = 2;
   runtime::DistributedEngine engine(

@@ -450,22 +450,42 @@ TEST(SimulationTest, VirtualSiteWaterRunsStably) {
   }
 }
 
+// The trial-state evaluator runs the step's force graph on a flat,
+// skin-free list, so its energy equals the one the Simulation reports from
+// its cluster tiles, bit for bit: at the start and after some dynamics, on
+// an LJ fluid and on rigid4 GSE water (virtual sites plus k-space).
 TEST(SimulationTest, PotentialEnergyMatchesCurrentEnergy) {
-  auto spec = build_lj_fluid(64, 0.021, 29);
-  ff::NonbondedModel model;
-  model.cutoff = 6.0;
-  model.electrostatics = ff::Electrostatics::kNone;
-  ForceField field(spec.topology, model);
-  Simulation sim(field, spec.positions, spec.box, nve_config());
-  double direct =
-      md::potential_energy(field, sim.state().positions, sim.state().box);
-  EXPECT_NEAR(direct, sim.potential_energy(), 1e-6);
+  auto lj = build_lj_fluid(64, 0.021, 29);
+  ff::NonbondedModel lj_model;
+  lj_model.cutoff = 6.0;
+  lj_model.electrostatics = ff::Electrostatics::kNone;
+
+  auto water = build_water_box(216, WaterModel::kRigid4Site, 5);
+  ff::NonbondedModel water_model;
+  water_model.cutoff = 6.0;
+  water_model.electrostatics = ff::Electrostatics::kEwaldReal;
+  water_model.ewald_beta = 0.4;
+
+  for (auto [spec, model] : {std::pair{&lj, lj_model},
+                             std::pair{&water, water_model}}) {
+    SCOPED_TRACE(testing::Message() << spec->topology.atom_count()
+                                    << " atoms");
+    ForceField field(spec->topology, model);
+    Simulation sim(field, spec->positions, spec->box, nve_config(1.0));
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(md::potential_energy(field, sim.state().positions,
+                                     sim.state().box, sim.state().time),
+                sim.potential_energy())
+          << "after " << round * 10 << " steps";
+      sim.run(10);
+    }
+  }
 }
 
 // The trial-state evaluator (MC barostat, H-REMD, FEP) must honor the
-// charge-product scale on any box, not only the one the field's solver is
-// gridded for: a field at scale s has to match a field whose charges are
-// scaled by √s, on the current box and on a 1.01× trial box.
+// charge-product scale on any box: a field at scale s has to match a field
+// whose charges are scaled by √s, on the current box and on a 1.01× trial
+// box.
 TEST(SimulationTest, TrialBoxEnergyHonorsChargeScaling) {
   auto spec = build_water_box(125, WaterModel::kRigid3Site, 3);
   ff::NonbondedModel model;
@@ -474,7 +494,6 @@ TEST(SimulationTest, TrialBoxEnergyHonorsChargeScaling) {
   model.ewald_beta = 0.4;
   ForceField field(spec.topology, model);
   field.set_charge_product_scale(0.5);
-  field.on_box_changed(spec.box);
 
   Topology scaled = spec.topology;
   for (double& q : scaled.mutable_charges()) q *= std::sqrt(0.5);

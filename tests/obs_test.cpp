@@ -22,8 +22,8 @@ TEST(Metrics, CounterAggregatesExactlyAcrossWorkerThreads) {
 
   constexpr size_t kTasks = 64;
   constexpr uint64_t kPerTask = 10000;
-  auto exec = ExecutionContext::create({8});
-  exec->parallel_for(kTasks, [&](size_t) {
+  auto runtime = util::TaskRuntime::create(8);
+  runtime->parallel_for(kTasks, [&](size_t) {
     for (uint64_t k = 0; k < kPerTask; ++k) c.add();
   });
   EXPECT_EQ(c.value(), kTasks * kPerTask);
@@ -91,10 +91,10 @@ TEST(Metrics, HistogramCountsSurviveConcurrentObserves) {
   obs::ScopedTelemetry on(true);
   obs::MetricsRegistry reg;
   auto& h = reg.histogram("test.hist.par", {10.0, 20.0});
-  auto exec = ExecutionContext::create({8});
+  auto runtime = util::TaskRuntime::create(8);
   constexpr size_t kTasks = 32;
   constexpr int kPerTask = 500;
-  exec->parallel_for(kTasks, [&](size_t t) {
+  runtime->parallel_for(kTasks, [&](size_t t) {
     for (int k = 0; k < kPerTask; ++k) {
       h.observe(static_cast<double>(t % 3) * 10.0 + 5.0);  // 5, 15, 25
     }

@@ -134,7 +134,7 @@ TEST(ParallelDeterminism, NeighborListPairsMatchSerialBuild) {
   serial.build(spec.positions, spec.box);
 
   md::NeighborList parallel(spec.topology, 8.0, 1.0);
-  parallel.set_execution(ExecutionContext::create({4}));
+  parallel.set_execution(util::TaskRuntime::create(4));
   parallel.build(spec.positions, spec.box);
 
   ASSERT_EQ(serial.pairs().size(), parallel.pairs().size());

@@ -87,7 +87,6 @@ TEST(Engine, ForcesBitIdenticalAcrossNodeCounts) {
   std::vector<ForceResult> results;
   for (const auto& dims : layouts) {
     ForceField field(spec.topology, model);
-    field.on_box_changed(spec.box);
     DistributedEngine engine(
         field, machine::anton_with_torus(dims[0], dims[1], dims[2]));
     md::NeighborList list(spec.topology, model.cutoff, 1.0);
@@ -177,7 +176,6 @@ MachineEval evaluate_water(const SystemSpec& spec, ForceField& field, int n,
 TEST(Engine, EvaluationBitIdenticalAcrossLaneCounts) {
   auto spec = build_water_box(216, WaterModel::kRigid3Site);
   ForceField field(spec.topology, water_model(6.0));
-  field.on_box_changed(spec.box);
   for (int n : {2, 4}) {
     std::vector<Vec3> positions;
     const MachineEval ref = evaluate_water(spec, field, n, 1, positions);
@@ -197,7 +195,6 @@ TEST(Engine, EvaluationBitIdenticalAcrossLaneCounts) {
 TEST(Engine, KspaceCacheMatchesForceFieldAtSnappedPositions) {
   auto spec = build_water_box(216, WaterModel::kRigid3Site);
   ForceField field(spec.topology, water_model(6.0));
-  field.on_box_changed(spec.box);
   for (size_t lanes : {1, 4}) {
     SCOPED_TRACE(testing::Message() << lanes << " lanes");
     std::vector<Vec3> positions;
@@ -435,7 +432,8 @@ ForceResult field_evaluation(const md::Simulation& sim, double time) {
   const ForceField& field = sim.force_field();
   const State& s = sim.state();
   ForceResult ref(s.positions.size());
-  field.compute_bonded(s.positions, s.box, time, ref);
+  field.compute_bonded_terms(field.bonded_terms(), s.positions, s.box, time,
+                             ref);
   md::NeighborList list(field.topology(), field.model().cutoff, 0.0);
   list.build(s.positions, s.box);
   field.compute_nonbonded(list.pairs(), s.positions, s.box, ref);

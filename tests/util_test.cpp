@@ -285,37 +285,48 @@ TEST(PlanChunks, SmallInputsGetOneChunk) {
   EXPECT_EQ(empty.chunks, 0u);
 }
 
-TEST(ExecutionContext, SerialByDefault) {
-  auto ctx = ExecutionContext::create({});
-  ASSERT_NE(ctx, nullptr);
-  EXPECT_FALSE(ctx->parallel());
-  EXPECT_EQ(ctx->threads(), 1u);
+TEST(TaskRuntimeConfig, SerialByDefault) {
+  auto rt = util::TaskRuntime::create(ExecutionConfig{});
+  ASSERT_NE(rt, nullptr);
+  EXPECT_FALSE(rt->parallel());
+  EXPECT_EQ(rt->lanes(), 1u);
 }
 
-TEST(ExecutionContext, SerialRunsInIndexOrder) {
-  auto ctx = ExecutionContext::create({1});
+TEST(TaskRuntimeConfig, SerialRunsInIndexOrder) {
+  auto rt = util::TaskRuntime::create(ExecutionConfig{1});
   std::vector<size_t> order;
-  ctx->parallel_for(10, [&](size_t i) { order.push_back(i); });
+  rt->parallel_for(10, [&](size_t i) { order.push_back(i); });
   std::vector<size_t> expected(10);
   std::iota(expected.begin(), expected.end(), size_t{0});
   EXPECT_EQ(order, expected);
 }
 
-TEST(ExecutionContext, ParallelCoversAllIndices) {
-  auto ctx = ExecutionContext::create({4});
-  EXPECT_TRUE(ctx->parallel());
-  EXPECT_EQ(ctx->threads(), 4u);
+TEST(TaskRuntimeConfig, ParallelCoversAllIndices) {
+  auto rt = util::TaskRuntime::create(ExecutionConfig{4});
+  EXPECT_TRUE(rt->parallel());
+  EXPECT_EQ(rt->lanes(), 4u);
   std::vector<std::atomic<int>> hits(257);
-  ctx->parallel_for(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  rt->parallel_for(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ExecutionContext, AutoThreadsPicksAtLeastOne) {
-  auto ctx = ExecutionContext::create({0});
-  EXPECT_GE(ctx->threads(), 1u);
+TEST(TaskRuntimeConfig, AutoThreadsPicksAtLeastOne) {
+  auto rt = util::TaskRuntime::create(ExecutionConfig{0});
+  EXPECT_GE(rt->lanes(), 1u);
   std::atomic<int> count{0};
-  ctx->parallel_for(8, [&](size_t) { count.fetch_add(1); });
+  rt->parallel_for(8, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
+}
+
+// The fleet's shared pool is handed out whenever the config asks for more
+// than one lane; a 1-lane config gets its own worker-free pool instead.
+TEST(TaskRuntimeConfig, SharedPoolServesParallelConfigsOnly) {
+  auto pool = util::TaskRuntime::create(4);
+  auto shared = util::TaskRuntime::create(ExecutionConfig{4, pool});
+  EXPECT_EQ(shared, pool);
+  auto serial = util::TaskRuntime::create(ExecutionConfig{1, pool});
+  EXPECT_NE(serial, pool);
+  EXPECT_EQ(serial->lanes(), 1u);
 }
 
 }  // namespace
