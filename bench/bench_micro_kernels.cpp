@@ -84,15 +84,22 @@ void BM_ClusterPairLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterPairLoop)->Arg(512)->Arg(1728);
 
+// One neighbor build of the canonical box (4096 rigid3 waters, 12,288
+// atoms, cutoff 9 Å, skin 1.5 Å, cluster mode) at range(0) lanes.
 void BM_NeighborBuild(benchmark::State& state) {
-  auto spec = build_lj_fluid(static_cast<size_t>(state.range(0)), 0.021, 5);
-  md::NeighborList list(spec.topology, 8.0, 1.0);
+  static const SystemSpec spec =
+      build_water_box(4096, WaterModel::kRigid3Site);
+  md::NeighborList list(spec.topology, 9.0, 1.5, /*cluster_mode=*/true);
+  list.set_execution(
+      util::TaskRuntime::create(static_cast<size_t>(state.range(0))));
   for (auto _ : state) {
     list.build(spec.positions, spec.box);
-    benchmark::DoNotOptimize(list.pairs().size());
+    benchmark::DoNotOptimize(list.clusters().entries.data());
   }
+  state.counters["pairs"] =
+      static_cast<double>(list.clusters().real_pairs);
 }
-BENCHMARK(BM_NeighborBuild)->Arg(1728)->Arg(4096);
+BENCHMARK(BM_NeighborBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_Fft3d(benchmark::State& state) {
   auto n = static_cast<size_t>(state.range(0));

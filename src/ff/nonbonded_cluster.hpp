@@ -2,10 +2,10 @@
 // antmd's deterministic fixed-point contract).
 //
 // The flat pair list streams one (i, j) entry per interaction; the cluster
-// list regroups *exactly the same pair set* into 8×4 tiles (the GROMACS
-// N×M split: i-clusters of 8 atoms against fixed 4-atom j-groups): atoms
-// are ordered by a fine spatial grid, chunked into clusters of 8, and
-// every surviving flat pair becomes one bit in the interaction mask of its
+// list holds *exactly the same pair set* as 8×4 tiles (the GROMACS N×M
+// split: i-clusters of 8 atoms against fixed 4-atom j-groups): atoms are
+// ordered by a fine spatial grid, chunked into clusters of 8, and every
+// pair in reach becomes one bit in the interaction mask of its
 // (cluster_i, j_group) tile.  Keeping the j side at 4 slots means an
 // empty half of a wide tile is simply never emitted, so the wide i side
 // does not dilute the mask fill.  The kernel gathers coordinates and
@@ -67,24 +67,18 @@ inline constexpr uint32_t kPadAtom = 0xffffffffu;
 /// One i-cluster × j-group tile.  `ci` indexes width-slot i-clusters,
 /// `cj` indexes 4-slot j-groups (cj*kClusterJWidth is its slot base).  Bit
 /// (a*kClusterJWidth + b) of `mask` is set when slot a of cluster ci
-/// interacts with slot b of group cj; the mask encodes exactly the flat
-/// list's pair set (in reach at build time, exclusions removed, each
-/// unordered pair exactly once, i-side slot < j-side slot), never padding.
+/// interacts with slot b of group cj; the masks encode exactly the list's
+/// pair set (in reach at build time, exclusions removed, each unordered
+/// pair exactly once, i-side slot < j-side slot), never padding.
 struct ClusterPairEntry {
   uint32_t ci = 0;
   uint32_t cj = 0;    ///< ci's slot base never exceeds cj's last slot
   uint64_t mask = 0;  ///< 32 bits used
-  /// Periodic shift of cj's cell relative to ci's at build time, encoded as
-  /// (sx+1) + 3*(sy+1) + 9*(sz+1) with s ∈ {-1,0,1} (13 = no wrap).  This is
-  /// what the hardware import machinery would key on; the software kernel
-  /// stays exact under arbitrary drift by re-deriving the minimum image per
-  /// pair (with a half-box fast path), so the index is advisory: modeled
-  /// import accounting and diagnostics only.
-  uint16_t shift = 13;
 };
+static_assert(sizeof(ClusterPairEntry) == 16, "a tile entry is 16 bytes");
 
 /// The blocked list: SoA per-slot static data plus the tile entries.
-/// Built by md::NeighborList from its flat pair vector (see
+/// Built directly by md::NeighborList's cluster search (see
 /// NeighborList::clusters()); consumed by compute_clusters().
 struct ClusterPairList {
   /// Atoms per cluster (kClusterWidth).
@@ -162,9 +156,9 @@ void compute_cluster_entries_scalar(
 [[nodiscard]] util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list);
 
 /// Whole-list evaluation: gather + prepare + chunks + reduce, fanned out
-/// over `runtime` when parallel.  Bit-identical to ff::compute_pairs over the
-/// source flat list in forces and energies, and bit-identical to itself at
-/// any thread count (including the virial).
+/// over `runtime` when parallel.  Bit-identical to ff::compute_pairs over
+/// the same pairs as a flat list in forces and energies, and bit-identical
+/// to itself at any thread count (including the virial).
 void compute_clusters(const ClusterPairList& list, const PairTableSet& tables,
                       std::span<const Vec3> pos, const Box& box,
                       ForceResult& out, double vdw_scale = 1.0,

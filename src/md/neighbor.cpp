@@ -1,61 +1,188 @@
 #include "md/neighbor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace antmd::md {
+namespace {
 
-CellList::CellList(const Box& box, double cell_size) {
-  ANTMD_REQUIRE(cell_size > 0, "cell size must be positive");
-  nx_ = std::max(1, static_cast<int>(box.edges().x / cell_size));
-  ny_ = std::max(1, static_cast<int>(box.edges().y / cell_size));
-  nz_ = std::max(1, static_cast<int>(box.edges().z / cell_size));
-  cells_.resize(cell_count());
-}
+constexpr uint32_t kWidth = ff::kClusterWidth;
+constexpr uint32_t kJWidth = ff::kClusterJWidth;
+static_assert(kWidth == 2 * kJWidth, "an i-cluster spans two j-groups");
 
-size_t CellList::index(int cx, int cy, int cz) const {
-  auto wrap = [](int c, int n) {
-    int m = c % n;
-    return m < 0 ? m + n : m;
-  };
-  return static_cast<size_t>(wrap(cx, nx_)) +
-         static_cast<size_t>(nx_) *
-             (static_cast<size_t>(wrap(cy, ny_)) +
-              static_cast<size_t>(ny_) * static_cast<size_t>(wrap(cz, nz_)));
-}
+/// Search chunks: at least this many i-clusters each, at most this many
+/// per build.  A function of the cluster count alone.
+constexpr size_t kMinChunkClusters = 16;
+constexpr size_t kMaxChunks = 64;
 
-void CellList::assign(std::span<const Vec3> positions, const Box& box) {
-  for (auto& c : cells_) c.clear();
-  atom_cells_.resize(positions.size());
-  for (uint32_t i = 0; i < positions.size(); ++i) {
-    Vec3 w = box.wrap(positions[i]);
-    int cx = std::min(nx_ - 1,
-                      static_cast<int>(w.x / box.edges().x * nx_));
-    int cy = std::min(ny_ - 1,
-                      static_cast<int>(w.y / box.edges().y * ny_));
-    int cz = std::min(nz_ - 1,
-                      static_cast<int>(w.z / box.edges().z * nz_));
-    atom_cells_[i] = {cx, cy, cz};
-    cells_[index(cx, cy, cz)].push_back(i);
+/// An atom this many box edges outside the primary cell (or not finite) is
+/// corrupt: it keeps its slot but takes part in no pair.
+constexpr double kWildEdges = 1e6;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Mask bits of the two tiles an i-cluster shares with itself (j-group
+/// 2ci + offset) whose j slot lies above the i slot: the lower slot of a
+/// pair always takes the i side.
+constexpr uint64_t diagonal_mask(uint32_t offset) {
+  uint64_t m = 0;
+  for (uint32_t a = 0; a < kWidth; ++a) {
+    for (uint32_t b = 0; b < kJWidth; ++b) {
+      if (offset * kJWidth + b > a) m |= uint64_t{1} << (a * kJWidth + b);
+    }
   }
+  return m;
+}
+constexpr uint64_t kDiagonal[2] = {diagonal_mask(0), diagonal_mask(1)};
+
+/// Cell of a wrapped coordinate on an n-cell axis, int(w / edge * n), with
+/// NaN, infinite and out-of-range values clamped into [0, n) before the
+/// cast so it stays defined (NaN gets cell 0, as in GseSolver).
+int grid_cell(double w, double edge, int n) {
+  const double x = w / edge * n;
+  if (!(x > 0)) return 0;
+  if (!(x < n - 1)) return n - 1;
+  return static_cast<int>(x);
 }
 
-const std::vector<uint32_t>& CellList::cell(int cx, int cy, int cz) const {
-  return cells_[index(cx, cy, cz)];
+/// An axis-aligned box: a periodic image of every member lies within
+/// `half` of `center` on each axis.  A box with no member has
+/// half = -inf, which puts it infinitely far from everything.
+struct Bounds {
+  double center[3] = {0.0, 0.0, 0.0};
+  double half[3] = {-kInf, -kInf, -kInf};
+};
+
+/// Distance along one axis between two boxes whose centers differ by `dc`
+/// and whose half-extents sum to `halves`, over the nearest periodic image.
+inline double axis_gap(double dc, double halves, double edge,
+                       double inv_edge) {
+  dc -= std::nearbyint(dc * inv_edge) * edge;
+  return std::max(0.0, std::abs(dc) - halves);
 }
 
-std::array<int, 3> CellList::cell_of(uint32_t atom) const {
-  return atom_cells_[atom];
+/// The cells of one fine-grid axis that can hold an atom within `reach` of
+/// [center - half, center + half] (periodically): one or two ascending,
+/// disjoint runs.
+struct Runs {
+  int count = 1;
+  int lo[2] = {0, 0};
+  int hi[2] = {0, 0};
+};
+
+Runs axis_runs(double center, double half, double reach, double edge,
+               int n) {
+  Runs r;
+  double qlo = center - half - reach;
+  double qhi = center + half + reach;
+  r.hi[0] = n - 1;
+  if (!(qhi - qlo < edge)) return r;
+  const double shift = std::floor(qlo / edge) * edge;
+  qlo -= shift;
+  qhi -= shift;
+  const int a = grid_cell(qlo, edge, n);
+  if (qhi < edge) {
+    r.lo[0] = a;
+    r.hi[0] = grid_cell(qhi, edge, n);
+    return r;
+  }
+  const int b = grid_cell(qhi - edge, edge, n);
+  if (b + 1 >= a) return r;  // the runs meet: the whole axis
+  r.count = 2;
+  r.hi[0] = b;
+  r.lo[1] = a;
+  r.hi[1] = n - 1;
+  return r;
 }
+
+/// The search's per-slot positions, in the fine-grid slot order: the
+/// positions as given, NaN for padding and corrupt atoms (no pairs).
+struct Slots {
+  std::vector<double> pos[3];
+
+  explicit Slots(size_t n) {
+    for (auto& v : pos) v.assign(n, std::numeric_limits<double>::quiet_NaN());
+  }
+
+  /// Periodic bounding box of the slots in [s0, s1) that hold an atom,
+  /// spanned by their minimum images about the first of them (so a cluster
+  /// that wraps from the end of a grid row to the start of the next stays
+  /// compact).
+  [[nodiscard]] Bounds bounds(size_t s0, size_t s1, const Vec3& edges,
+                              const Vec3& inv_edges) const {
+    while (s0 < s1 && std::isnan(pos[0][s0])) ++s0;
+    if (s0 == s1) return Bounds{};
+    Bounds box;
+    for (int ax = 0; ax < 3; ++ax) {
+      const std::vector<double>& v = pos[ax];
+      double lo = 0.0;
+      double hi = 0.0;
+      for (size_t s = s0 + 1; s < s1; ++s) {
+        if (std::isnan(v[s])) continue;
+        double d = v[s] - v[s0];
+        d -= std::nearbyint(d * inv_edges[ax]) * edges[ax];
+        lo = std::min(lo, d);
+        hi = std::max(hi, d);
+      }
+      box.center[ax] = v[s0] + 0.5 * (lo + hi);
+      box.half[ax] = 0.5 * (hi - lo);
+    }
+    return box;
+  }
+};
+
+/// Row bits of one i slot against a j-group's four slots: bit b is set when
+/// Box::distance2 between the two is below reach2, computed operation for
+/// operation.  The first loop has no cross-lane dependence, so with SSE4.1
+/// the compiler runs it two slots per instruction (divpd, roundpd in
+/// nearbyint's mode, no contraction): the same IEEE operations in the same
+/// order.  The minimum-image distance is symmetric under exchanging the
+/// atoms (negation commutes with every rounding step), so slot order stands
+/// in for atom order.  NaN coordinates never set a bit.
+inline uint64_t row_bits(double xi, double yi, double zi, const double* xj,
+                         const double* yj, const double* zj,
+                         const Vec3& edges, double reach2) {
+  double r2[kJWidth];
+  for (uint32_t b = 0; b < kJWidth; ++b) {
+    double dx = xi - xj[b];
+    double dy = yi - yj[b];
+    double dz = zi - zj[b];
+    dx -= std::nearbyint(dx / edges.x) * edges.x;
+    dy -= std::nearbyint(dy / edges.y) * edges.y;
+    dz -= std::nearbyint(dz / edges.z) * edges.z;
+    r2[b] = dx * dx + dy * dy + dz * dz;
+  }
+  uint64_t row = 0;
+  for (uint32_t b = 0; b < kJWidth; ++b) {
+    row |= static_cast<uint64_t>(r2[b] < reach2) << b;
+  }
+  return row;
+}
+
+/// Tile rows (4-bit groups of a 32-bit mask) with at least one bit set.
+inline size_t active_rows_of(uint64_t mask) {
+  uint64_t any = mask | (mask >> 1) | (mask >> 2) | (mask >> 3);
+  return static_cast<size_t>(std::popcount(any & 0x11111111u));
+}
+
+}  // namespace
 
 NeighborList::NeighborList(const Topology& topo, double cutoff, double skin,
                            bool cluster_mode)
     : topo_(&topo), cutoff_(cutoff), skin_(skin), cluster_mode_(cluster_mode) {
   ANTMD_REQUIRE(cutoff > 0 && skin >= 0, "bad neighbor-list parameters");
+}
+
+const std::vector<ff::PairEntry>& NeighborList::pairs() const {
+  ANTMD_REQUIRE(!cluster_mode_, "a cluster-mode list keeps no flat pairs");
+  return pairs_;
 }
 
 void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
@@ -68,55 +195,201 @@ void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
   const double reach = cutoff_ + skin_;
   ANTMD_REQUIRE(2.0 * reach <= box.min_edge(),
                 "cutoff+skin exceeds half the smallest box edge");
-  CellList cells(box, reach);
-  cells.assign(positions, box);
+  const size_t atom_count = positions.size();
+  ANTMD_REQUIRE(atom_count == topo_->atom_count(),
+                "neighbor list: one position per topology atom");
+
+  if (excl_begin_.size() != atom_count + 1) {
+    // Per-atom sorted partner lists: excluded_pairs() is sorted, so each
+    // atom's lower partners arrive in ascending order before its upper ones.
+    const auto excluded = topo_->excluded_pairs();
+    excl_begin_.assign(atom_count + 1, 0);
+    for (const auto& [i, j] : excluded) {
+      ++excl_begin_[i + 1];
+      ++excl_begin_[j + 1];
+    }
+    std::partial_sum(excl_begin_.begin(), excl_begin_.end(),
+                     excl_begin_.begin());
+    excl_.resize(excl_begin_.back());
+    std::vector<uint32_t> fill(excl_begin_.begin(), excl_begin_.end() - 1);
+    for (const auto& [i, j] : excluded) {
+      excl_[fill[i]++] = j;
+      excl_[fill[j]++] = i;
+    }
+  }
+
+  // Fine-grid atom order: a grid sized so each cell holds ~kWidth atoms,
+  // cell-major, ascending atom index within a cell.  Consecutive slots are
+  // then spatially adjacent at the cluster scale, so 8x4 tiles stay densely
+  // masked.  One stable counting sort bins every atom.
+  const Vec3 edges = box.edges();
+  const double target_edge =
+      std::cbrt(box.volume() * static_cast<double>(kWidth) /
+                std::max<double>(1.0, static_cast<double>(atom_count)));
+  const double cell_size = std::max(target_edge, 1e-6);
+  int n[3];
+  for (int ax = 0; ax < 3; ++ax) {
+    n[ax] = std::max(1, static_cast<int>(edges[ax] / cell_size));
+  }
+  const size_t n_cells = static_cast<size_t>(n[0]) * n[1] * n[2];
+  std::vector<uint32_t> cell_of(atom_count);
+  std::vector<uint32_t> cell_start(n_cells + 1, 0);
+  for (size_t i = 0; i < atom_count; ++i) {
+    const Vec3 w = box.wrap(positions[i]);
+    cell_of[i] = static_cast<uint32_t>(
+        grid_cell(w.x, edges.x, n[0]) +
+        n[0] * (grid_cell(w.y, edges.y, n[1]) +
+                n[1] * grid_cell(w.z, edges.z, n[2])));
+    ++cell_start[cell_of[i] + 1];
+  }
+  std::partial_sum(cell_start.begin(), cell_start.end(), cell_start.begin());
+
+  ff::ClusterPairList& cl = clusters_;
+  const size_t n_clusters = (atom_count + kWidth - 1) / kWidth;
+  const size_t slots = n_clusters * kWidth;
+  cl.width = kWidth;
+  cl.atoms.assign(slots, ff::kPadAtom);
+  cl.slot_types.assign(slots, 0);
+  cl.slot_charges.assign(slots, 0.0);
+  const auto type_ids = topo_->type_ids();
+  const auto charges = topo_->charges();
+  std::vector<uint32_t> slot_of(atom_count);
+  Slots slot(slots);
+  double max_abs = 0.0;
+  {
+    std::vector<uint32_t> fill(cell_start.begin(), cell_start.end() - 1);
+    for (uint32_t atom = 0; atom < atom_count; ++atom) {
+      const uint32_t s = fill[cell_of[atom]]++;
+      cl.atoms[s] = atom;
+      cl.slot_types[s] = type_ids[atom];
+      cl.slot_charges[s] = charges[atom];
+      slot_of[atom] = s;
+      const Vec3& p = positions[atom];
+      bool sane = true;
+      for (int ax = 0; ax < 3; ++ax) {
+        sane = sane && std::abs(p[ax]) <= kWildEdges * edges[ax];
+      }
+      if (!sane) continue;
+      for (int ax = 0; ax < 3; ++ax) {
+        slot.pos[ax][s] = p[ax];
+        max_abs = std::max(max_abs, std::abs(p[ax]));
+      }
+    }
+  }
+
+  // The boxes, their gaps and the cell runs (located among wrapped
+  // coordinates) carry a few roundings of the largest coordinate (~1e-15
+  // relative) that the exact test does not, so culling at reach plus 1e-9
+  // of the largest length in play never drops a pair the exact test keeps.
+  const double cull = reach + 1e-9 * (reach + max_abs +
+                                      std::max({edges.x, edges.y, edges.z}));
+  const double cull2 = cull * cull;
   const double reach2 = reach * reach;
+  const Vec3 inv_edges{1.0 / edges.x, 1.0 / edges.y, 1.0 / edges.z};
 
-  pairs_.clear();
-  // Half-stencil enumeration so each unordered pair is visited once when
-  // the cell grid is at least 3 cells wide on each axis; fall back to the
-  // full stencil with i<j filtering for small grids.
-  const bool small_grid =
-      cells.nx() < 3 || cells.ny() < 3 || cells.nz() < 3;
+  std::vector<Bounds> group_box(slots / kJWidth);
+  for (size_t g = 0; g < group_box.size(); ++g) {
+    group_box[g] =
+        slot.bounds(g * kJWidth, (g + 1) * kJWidth, edges, inv_edges);
+  }
+  std::vector<Bounds> cluster_box(n_clusters);
+  for (size_t c = 0; c < n_clusters; ++c) {
+    cluster_box[c] =
+        slot.bounds(c * kWidth, (c + 1) * kWidth, edges, inv_edges);
+  }
 
-  auto enumerate_slice = [&](int cz, std::vector<ff::PairEntry>& out) {
-    for (int cy = 0; cy < cells.ny(); ++cy) {
-      for (int cx = 0; cx < cells.nx(); ++cx) {
-        const auto& home = cells.cell(cx, cy, cz);
-        // Pairs within the home cell.
-        for (size_t a = 0; a < home.size(); ++a) {
-          for (size_t b = a + 1; b < home.size(); ++b) {
-            uint32_t i = std::min(home[a], home[b]);
-            uint32_t j = std::max(home[a], home[b]);
-            if (box.distance2(positions[i], positions[j]) >= reach2) continue;
-            if (topo_->is_excluded(i, j)) continue;
-            out.push_back({i, j});
+  // One tile: cull by box distance, then set every row's bits by the exact
+  // test (padding and corrupt slots hold NaN and set none).
+  auto tile_mask = [&](size_t ci, size_t g) -> uint64_t {
+    const Bounds& bi = cluster_box[ci];
+    const Bounds& bj = group_box[g];
+    double d2 = 0.0;
+    for (int ax = 0; ax < 3; ++ax) {
+      const double gap = axis_gap(bj.center[ax] - bi.center[ax],
+                                  bi.half[ax] + bj.half[ax], edges[ax],
+                                  inv_edges[ax]);
+      d2 += gap * gap;
+    }
+    if (!(d2 < cull2)) return 0;
+    uint64_t mask = 0;
+    const size_t sj = g * kJWidth;
+    for (uint32_t a = 0; a < kWidth; ++a) {
+      const size_t si = ci * kWidth + a;
+      mask |= row_bits(slot.pos[0][si], slot.pos[1][si], slot.pos[2][si],
+                       &slot.pos[0][sj], &slot.pos[1][sj], &slot.pos[2][sj],
+                       edges, reach2)
+              << (a * kJWidth);
+    }
+    if (g < 2 * ci + 2) mask &= kDiagonal[g - 2 * ci];
+    return mask;
+  };
+
+  const util::ChunkPlan plan =
+      util::plan_chunks(n_clusters, kMinChunkClusters, kMaxChunks);
+  chunk_entries_.resize(plan.chunks);
+  auto search = [&](size_t chunk) {
+    std::vector<ff::ClusterPairEntry>& out = chunk_entries_[chunk];
+    out.clear();
+    for (size_t ci = plan.begin(chunk); ci < plan.end(chunk); ++ci) {
+      const Bounds& bi = cluster_box[ci];
+      if (!(bi.half[0] >= 0.0)) continue;  // padding or corrupt atoms only
+      Runs runs[3];
+      for (int ax = 0; ax < 3; ++ax) {
+        runs[ax] = axis_runs(bi.center[ax], bi.half[ax], cull, edges[ax],
+                             n[ax]);
+      }
+      // Slots of the cluster's excluded partners: tiles outside them skip
+      // the exclusion pass.
+      size_t excl_lo = slots;
+      size_t excl_hi = 0;
+      for (uint32_t a = 0; a < kWidth; ++a) {
+        const uint32_t atom = cl.atoms[ci * kWidth + a];
+        if (atom == ff::kPadAtom) continue;
+        for (uint32_t k = excl_begin_[atom]; k < excl_begin_[atom + 1]; ++k) {
+          excl_lo = std::min<size_t>(excl_lo, slot_of[excl_[k]]);
+          excl_hi = std::max<size_t>(excl_hi, slot_of[excl_[k]]);
+        }
+      }
+      auto visit = [&](size_t g) {
+        uint64_t mask = tile_mask(ci, g);
+        if (mask != 0 && g * kJWidth <= excl_hi &&
+            g * kJWidth + kJWidth > excl_lo) {
+          for (uint32_t a = 0; a < kWidth; ++a) {
+            if (((mask >> (a * kJWidth)) & 0xfu) == 0) continue;
+            const uint32_t atom = cl.atoms[ci * kWidth + a];
+            for (uint32_t k = excl_begin_[atom]; k < excl_begin_[atom + 1];
+                 ++k) {
+              const uint32_t t = slot_of[excl_[k]];
+              if (t / kJWidth == g) {
+                mask &= ~(uint64_t{1} << (a * kJWidth + t % kJWidth));
+              }
+            }
           }
         }
-        // Pairs with neighbouring cells.
-        for (int dz = -1; dz <= 1; ++dz) {
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              if (dx == 0 && dy == 0 && dz == 0) continue;
-              // Half stencil: take only the lexicographically positive
-              // offsets so each cell pair is visited once.
-              if (!small_grid) {
-                if (dz < 0) continue;
-                if (dz == 0 && dy < 0) continue;
-                if (dz == 0 && dy == 0 && dx < 0) continue;
-              }
-              const auto& other = cells.cell(cx + dx, cy + dy, cz + dz);
-              for (uint32_t ai : home) {
-                for (uint32_t bj : other) {
-                  if (small_grid && ai >= bj) continue;
-                  uint32_t i = std::min(ai, bj);
-                  uint32_t j = std::max(ai, bj);
-                  if (box.distance2(positions[i], positions[j]) >= reach2) {
-                    continue;
-                  }
-                  if (topo_->is_excluded(i, j)) continue;
-                  out.push_back({i, j});
+        if (mask != 0) {
+          out.push_back({static_cast<uint32_t>(ci), static_cast<uint32_t>(g),
+                         mask});
+        }
+      };
+      // Cell runs in ascending cell order give ascending, disjoint slot
+      // ranges, so j-groups come out sorted; a group straddling two ranges
+      // is visited once.  j slots never precede the cluster's own.
+      size_t next = 2 * ci;
+      for (int rz = 0; rz < runs[2].count; ++rz) {
+        for (int z = runs[2].lo[rz]; z <= runs[2].hi[rz]; ++z) {
+          for (int ry = 0; ry < runs[1].count; ++ry) {
+            for (int y = runs[1].lo[ry]; y <= runs[1].hi[ry]; ++y) {
+              const size_t row = static_cast<size_t>(n[0]) * (y + n[1] * z);
+              for (int rx = 0; rx < runs[0].count; ++rx) {
+                const size_t s_begin = cell_start[row + runs[0].lo[rx]];
+                const size_t s_end = cell_start[row + runs[0].hi[rx] + 1];
+                if (s_end == s_begin) continue;
+                const size_t g_end = (s_end + kJWidth - 1) / kJWidth;
+                for (size_t g = std::max(next, s_begin / kJWidth); g < g_end;
+                     ++g) {
+                  visit(g);
                 }
+                next = std::max(next, g_end);
               }
             }
           }
@@ -124,154 +397,56 @@ void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
       }
     }
   };
-
-  if (runtime_ && runtime_->parallel() && cells.nz() > 1) {
-    // Each z-slice fills its own vector; concatenation in ascending slice
-    // order plus the final sort below leaves pairs_ independent of thread
-    // scheduling (the sort alone already guarantees that, the fixed order
-    // just keeps intermediate state reproducible too).
-    std::vector<std::vector<ff::PairEntry>> slices(
-        static_cast<size_t>(cells.nz()));
-    runtime_->parallel_for(slices.size(), [&](size_t cz) {
-      enumerate_slice(static_cast<int>(cz), slices[cz]);
-    });
-    size_t total = 0;
-    for (const auto& s : slices) total += s.size();
-    pairs_.reserve(total);
-    for (const auto& s : slices) {
-      pairs_.insert(pairs_.end(), s.begin(), s.end());
-    }
+  if (runtime_ && plan.chunks > 1) {
+    runtime_->parallel_for(plan.chunks, search);
   } else {
-    for (int cz = 0; cz < cells.nz(); ++cz) enumerate_slice(cz, pairs_);
+    for (size_t c = 0; c < plan.chunks; ++c) search(c);
   }
 
-  std::sort(pairs_.begin(), pairs_.end(),
-            [](const ff::PairEntry& a, const ff::PairEntry& b) {
-              return a.i != b.i ? a.i < b.i : a.j < b.j;
-            });
-  // With a small grid the same cell pair can be visited through two
-  // different wrap-around offsets; dedupe to keep the contract exact.
-  pairs_.erase(std::unique(pairs_.begin(), pairs_.end(),
-                           [](const ff::PairEntry& a, const ff::PairEntry& b) {
-                             return a.i == b.i && a.j == b.j;
-                           }),
-               pairs_.end());
+  size_t total = 0;
+  for (const auto& chunk : chunk_entries_) total += chunk.size();
+  cl.entries.clear();
+  cl.entries.reserve(total);
+  cl.real_pairs = 0;
+  cl.active_rows = 0;
+  for (const auto& chunk : chunk_entries_) {
+    for (const ff::ClusterPairEntry& e : chunk) {
+      cl.real_pairs += static_cast<size_t>(std::popcount(e.mask));
+      cl.active_rows += active_rows_of(e.mask);
+    }
+    cl.entries.insert(cl.entries.end(), chunk.begin(), chunk.end());
+  }
 
+  if (!cluster_mode_) decode_pairs(atom_count);
   reference_positions_.assign(positions.begin(), positions.end());
-  if (cluster_mode_) build_clusters(cells, positions, box);
   ++build_count_;
 }
 
-void NeighborList::build_clusters(const CellList& cells,
-                                  std::span<const Vec3> positions,
-                                  const Box& box) {
-  ff::ClusterPairList& cl = clusters_;
-  const uint32_t w = ff::kClusterWidth;
-  const size_t atom_count = positions.size();
-
-  // Fine-grid atom order: bin atoms on a grid sized so each cell holds
-  // ~width atoms (much finer than the reach-sized build cells) and emit
-  // cell-major, ascending atom index within a cell.  Consecutive slots are
-  // then spatially adjacent at the *cluster* scale, so width×width tiles
-  // stay densely masked — with reach-sized cells a width-8 cluster would
-  // span unrelated corners of a cell and the masks go sparse.
-  const double target_edge =
-      std::cbrt(box.volume() * static_cast<double>(w) /
-                std::max<double>(1.0, static_cast<double>(atom_count)));
-  CellList fine(box, std::max(target_edge, 1e-6));
-  fine.assign(positions, box);
-  std::vector<uint32_t> order;
-  order.reserve(atom_count);
-  for (int cz = 0; cz < fine.nz(); ++cz) {
-    for (int cy = 0; cy < fine.ny(); ++cy) {
-      for (int cx = 0; cx < fine.nx(); ++cx) {
-        const auto& c = fine.cell(cx, cy, cz);
-        order.insert(order.end(), c.begin(), c.end());
-      }
+void NeighborList::decode_pairs(size_t atom_count) {
+  const ff::ClusterPairList& cl = clusters_;
+  pairs_.clear();
+  pairs_.reserve(cl.real_pairs);
+  for (const ff::ClusterPairEntry& e : cl.entries) {
+    for (uint64_t m = e.mask; m != 0; m &= m - 1) {
+      const auto bit = static_cast<uint32_t>(std::countr_zero(m));
+      const uint32_t i = cl.atoms[e.ci * kWidth + bit / kJWidth];
+      const uint32_t j = cl.atoms[e.cj * kJWidth + bit % kJWidth];
+      pairs_.push_back({std::min(i, j), std::max(i, j)});
     }
   }
-
-  const size_t n_clusters = (atom_count + w - 1) / w;
-  const size_t slots = n_clusters * w;
-  cl.width = w;
-  cl.atoms.assign(slots, ff::kPadAtom);
-  cl.slot_types.assign(slots, 0);
-  cl.slot_charges.assign(slots, 0.0);
-  const auto type_ids = topo_->type_ids();
-  const auto charges = topo_->charges();
-  std::vector<uint32_t> slot_of(atom_count);
-  for (size_t s = 0; s < order.size(); ++s) {
-    const uint32_t atom = order[s];
-    cl.atoms[s] = atom;
-    cl.slot_types[s] = type_ids[atom];
-    cl.slot_charges[s] = charges[atom];
-    slot_of[atom] = static_cast<uint32_t>(s);
-  }
-
-  // Every flat pair becomes exactly one mask bit of its (ci, cj) tile, so
-  // the tile list encodes the flat pair set by construction — the kernels
-  // compute identical interactions and the equivalence tests can assert
-  // exact pair-count accounting.
-  // Canonical orientation: the lower slot takes the i side.  ci indexes
-  // width-slot i-clusters, cj indexes 4-slot j-groups (ff::kClusterJWidth),
-  // so each unordered pair lands in exactly one tile bit.
-  std::vector<std::pair<uint64_t, uint64_t>> keyed;
-  keyed.reserve(pairs_.size());
-  constexpr uint32_t jw = ff::kClusterJWidth;
-  for (const ff::PairEntry& p : pairs_) {
-    uint32_t si = slot_of[p.i];
-    uint32_t sj = slot_of[p.j];
-    if (si > sj) std::swap(si, sj);
-    const uint32_t ci = si / w;
-    const uint32_t cj = sj / jw;
-    const uint32_t a = si % w;
-    const uint32_t b = sj % jw;
-    keyed.emplace_back((static_cast<uint64_t>(ci) << 32) | cj,
-                       uint64_t{1} << (a * jw + b));
-  }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-
-  // Advisory periodic shift of cj relative to ci, from the cells of the
-  // clusters' lead atoms (a cluster can straddle a cell boundary; anything
-  // that is not a clean one-cell wrap is recorded as "no wrap").
-  auto shift_code = [&](uint32_t ci, uint32_t cj) {
-    const auto cell_i = cells.cell_of(cl.atoms[ci * w]);
-    const auto cell_j = cells.cell_of(cl.atoms[cj * jw]);
-    const int dims[3] = {cells.nx(), cells.ny(), cells.nz()};
-    int code = 0;
-    int mult = 1;
-    for (int ax = 0; ax < 3; ++ax) {
-      const int d = cell_j[ax] - cell_i[ax];
-      int s = 0;
-      if (d > dims[ax] / 2) {
-        s = -1;
-      } else if (d < -(dims[ax] / 2)) {
-        s = 1;
-      }
-      code += (s + 1) * mult;
-      mult *= 3;
-    }
-    return static_cast<uint16_t>(code);
+  // Two stable counting passes, by j into a scratch copy and then by i back
+  // into pairs_, leave the pairs in (i, j) order with two copies alive.
+  auto scatter = [atom_count](const std::vector<ff::PairEntry>& in,
+                              std::vector<ff::PairEntry>& out, auto key) {
+    std::vector<size_t> at(atom_count + 1, 0);
+    for (const ff::PairEntry& p : in) ++at[key(p) + 1];
+    std::partial_sum(at.begin(), at.end(), at.begin());
+    out.resize(in.size());
+    for (const ff::PairEntry& p : in) out[at[key(p)]++] = p;
   };
-
-  cl.entries.clear();
-  cl.real_pairs = pairs_.size();
-  cl.active_rows = 0;
-  for (size_t k = 0; k < keyed.size();) {
-    const uint64_t key = keyed[k].first;
-    uint64_t mask = 0;
-    while (k < keyed.size() && keyed[k].first == key) mask |= keyed[k++].second;
-    ff::ClusterPairEntry e;
-    e.ci = static_cast<uint32_t>(key >> 32);
-    e.cj = static_cast<uint32_t>(key & 0xffffffffu);
-    e.mask = mask;
-    e.shift = shift_code(e.ci, e.cj);
-    cl.entries.push_back(e);
-    for (uint32_t a = 0; a < w; ++a) {
-      if ((mask >> (ff::kClusterJWidth * a)) & 0xfu) ++cl.active_rows;
-    }
-  }
+  std::vector<ff::PairEntry> by_j;
+  scatter(pairs_, by_j, [](const ff::PairEntry& p) { return p.j; });
+  scatter(by_j, pairs_, [](const ff::PairEntry& p) { return p.i; });
 }
 
 bool NeighborList::needs_rebuild(std::span<const Vec3> positions,

@@ -1,9 +1,12 @@
-// Cell list and Verlet neighbor list.
+// Verlet neighbor list, built as cluster-pair tiles.
 //
-// The list produces a deterministic, sorted (i < j, lexicographic) pair
-// vector; the distributed runtime re-partitions exactly this vector across
-// nodes, which together with fixed-point accumulation gives bit-identical
-// forces at any node count.
+// One search bins the atoms on a fine spatial grid (the cluster order),
+// culls (i-cluster, j-group) candidates by periodic bounding-box distance
+// and sets each tile mask bit by the exact minimum-image test, so the list
+// *is* its tiles (ff::ClusterPairList): entries come out sorted by
+// (ci, cj) and are identical at any lane count.  Pair mode additionally
+// decodes the tiles into the sorted (i < j, lexicographic) flat pair
+// vector the pair kernel and the machine's pair partition consume.
 #pragma once
 
 #include <cstdint>
@@ -18,43 +21,12 @@
 
 namespace antmd::md {
 
-/// Uniform spatial binning over the box.
-class CellList {
- public:
-  /// cell_size is a lower bound on the actual cell edge (cells evenly
-  /// divide the box).
-  CellList(const Box& box, double cell_size);
-
-  void assign(std::span<const Vec3> positions, const Box& box);
-
-  [[nodiscard]] size_t cell_count() const {
-    return static_cast<size_t>(nx_) * ny_ * nz_;
-  }
-  [[nodiscard]] int nx() const { return nx_; }
-  [[nodiscard]] int ny() const { return ny_; }
-  [[nodiscard]] int nz() const { return nz_; }
-
-  /// Atoms in cell (cx, cy, cz) (unwrapped indices are taken modulo dims).
-  [[nodiscard]] const std::vector<uint32_t>& cell(int cx, int cy,
-                                                  int cz) const;
-  /// Cell coordinates of atom i from the last assign().
-  [[nodiscard]] std::array<int, 3> cell_of(uint32_t atom) const;
-
- private:
-  [[nodiscard]] size_t index(int cx, int cy, int cz) const;
-
-  int nx_ = 0, ny_ = 0, nz_ = 0;
-  std::vector<std::vector<uint32_t>> cells_;
-  std::vector<std::array<int, 3>> atom_cells_;
-};
-
 /// Verlet list with a skin: rebuilt only when some atom has moved more than
 /// half the skin since the last build.
 class NeighborList {
  public:
-  /// cluster_mode additionally derives a blocked cluster-pair list from
-  /// every rebuild (see ff::ClusterPairList); the flat pair vector is still
-  /// produced and stays the source of truth for the pair set.
+  /// Pair mode (cluster_mode = false) also keeps the flat pair vector,
+  /// decoded from the tiles after every rebuild.
   NeighborList(const Topology& topo, double cutoff, double skin,
                bool cluster_mode = false);
 
@@ -64,11 +36,10 @@ class NeighborList {
   /// Rebuilds only if needed; returns true if a rebuild happened.
   bool update(std::span<const Vec3> positions, const Box& box);
 
-  [[nodiscard]] const std::vector<ff::PairEntry>& pairs() const {
-    return pairs_;
-  }
+  /// Sorted flat pairs; pair mode only.
+  [[nodiscard]] const std::vector<ff::PairEntry>& pairs() const;
   [[nodiscard]] bool cluster_mode() const { return cluster_mode_; }
-  /// Blocked tile view of pairs(); empty unless cluster_mode is on.
+  /// The tiles of the last build (in both modes).
   [[nodiscard]] const ff::ClusterPairList& clusters() const {
     return clusters_;
   }
@@ -76,10 +47,10 @@ class NeighborList {
   [[nodiscard]] double skin() const { return skin_; }
   [[nodiscard]] uint64_t build_count() const { return build_count_; }
 
-  /// Opts the list into threaded rebuilds on `runtime`.  Cell slices are
-  /// enumerated concurrently and concatenated in slice order; the final
-  /// sort makes the pair vector identical to the serial build regardless of
-  /// thread count.
+  /// Opts the list into threaded rebuilds on `runtime`.  Fixed chunks of
+  /// i-clusters are searched concurrently and concatenated in chunk order;
+  /// the chunk bounds depend on the cluster count alone, so the list is
+  /// identical to the serial build at any lane count.
   void set_execution(std::shared_ptr<util::TaskRuntime> runtime) {
     runtime_ = std::move(runtime);
   }
@@ -87,8 +58,7 @@ class NeighborList {
  private:
   [[nodiscard]] bool needs_rebuild(std::span<const Vec3> positions,
                                    const Box& box) const;
-  void build_clusters(const CellList& cells,
-                      std::span<const Vec3> positions, const Box& box);
+  void decode_pairs(size_t atom_count);
 
   const Topology* topo_;
   double cutoff_;
@@ -96,6 +66,12 @@ class NeighborList {
   bool cluster_mode_ = false;
   std::vector<ff::PairEntry> pairs_;
   ff::ClusterPairList clusters_;
+  /// Per-atom excluded partners (CSR, both directions), from
+  /// Topology::excluded_pairs() at the first build.
+  std::vector<uint32_t> excl_begin_;
+  std::vector<uint32_t> excl_;
+  /// Each search chunk's slice of the entries, reused across builds.
+  std::vector<std::vector<ff::ClusterPairEntry>> chunk_entries_;
   std::vector<Vec3> reference_positions_;
   uint64_t build_count_ = 0;
   std::shared_ptr<util::TaskRuntime> runtime_;  ///< null = serial build

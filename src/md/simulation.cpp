@@ -49,11 +49,11 @@ MdMetrics& md_metrics() {
 }
 
 // The host's slot plan over `list`: slot 0 holds the whole system's bonded
-// terms — and every flat pair when the list has no tiles — then one slot
-// per tile chunk.  Slot 0 merges first, so the bonded virial sums exactly
+// terms — and every flat pair of a pair-mode list — then one slot per
+// tile chunk.  Slot 0 merges first, so the bonded virial sums exactly
 // as if the terms were added straight into the result, and the chunk
 // boundaries depend on the tile count alone.  Returns the tile list the
-// slots index (null without tiles).
+// slots index (null in pair mode).
 const ff::ClusterPairList* plan_host_slots(const ForceField& ff,
                                            const NeighborList& list,
                                            std::vector<ForceSlot>& slots) {
@@ -81,7 +81,7 @@ double potential_energy(const ForceField& ff, std::span<const Vec3> positions,
   std::vector<Vec3> pos(positions.begin(), positions.end());
   ff::construct_virtual_sites(topo.virtual_sites(), pos, box);
 
-  NeighborList list(topo, ff.model().cutoff, 0.0);
+  NeighborList list(topo, ff.model().cutoff, 0.0, /*cluster_mode=*/true);
   list.build(pos, box);
   std::vector<ForceSlot> slots;
   const ff::ClusterPairList* tiles = plan_host_slots(ff, list, slots);

@@ -59,14 +59,14 @@ struct SimulationConfig {
 };
 
 /// Full potential energy of `positions` in `box` under `ff`: one serial run
-/// of the step's md::ForceGraph over the host slot plan, on a flat neighbor
-/// list (skin 0) built at `positions` with virtual sites constructed, and
-/// k-space (when configured) gridded for `box`.  Energies are fixed-point
-/// sums, so this equals, bit for bit, the energy a Simulation of `ff`
-/// reports after a full evaluation (k-space due) at the same state.  The
-/// one trial-state evaluator: the MC barostat's
-/// trial boxes and the H-REMD and FEP cross-Hamiltonian energies all go
-/// through it.
+/// of the step's md::ForceGraph over the host slot plan, on a cluster-pair
+/// neighbor list (skin 0) built at `positions` with virtual sites
+/// constructed, and k-space (when configured) gridded for `box`.  Energies
+/// are fixed-point sums, so this equals, bit for bit, the energy a
+/// Simulation of `ff` reports after a full evaluation (k-space due) at the
+/// same state, under either nonbonded kernel.  The one trial-state
+/// evaluator: the MC barostat's trial boxes and the H-REMD and FEP
+/// cross-Hamiltonian energies all go through it.
 [[nodiscard]] double potential_energy(const ForceField& ff,
                                       std::span<const Vec3> positions,
                                       const Box& box, double time = 0.0);

@@ -68,9 +68,12 @@ class MachineForces final : public md::ForceProvider {
                              const machine::NetworkAttribution* attr);
   void feed_profile(const machine::NetworkAttribution& attr);
   void redistribute(const State& state) {
-    engine_.redistribute(state.positions, state.box, nlist_.pairs(),
-                         nlist_.cluster_mode() ? &nlist_.clusters()
-                                               : nullptr);
+    if (nlist_.cluster_mode()) {
+      engine_.redistribute(state.positions, state.box, {}, &nlist_.clusters());
+    } else {
+      engine_.redistribute(state.positions, state.box, nlist_.pairs(),
+                           nullptr);
+    }
   }
   [[nodiscard]] double mean_step_time_s() const {
     return steps_timed_ ? modeled_time_s_ / static_cast<double>(steps_timed_)

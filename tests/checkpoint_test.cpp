@@ -272,7 +272,6 @@ TEST(CheckpointResume, ClusterKernelResumeBitExact) {
     EXPECT_EQ(ex.ci, ey.ci);
     EXPECT_EQ(ex.cj, ey.cj);
     EXPECT_EQ(ex.mask, ey.mask);
-    EXPECT_EQ(ex.shift, ey.shift);
   }
   EXPECT_EQ(x.clusters().real_pairs, y.clusters().real_pairs);
 }

@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "ff/forcefield.hpp"
 #include "obs/metrics.hpp"
@@ -25,21 +28,32 @@ using md::NeighborList;
 using md::Simulation;
 using md::SimulationConfig;
 
+/// Every i < j within `reach` that the topology does not exclude, by
+/// O(N^2) brute force.
+std::set<std::pair<uint32_t, uint32_t>> brute_force_pairs(
+    const Topology& topo, std::span<const Vec3> pos, const Box& box,
+    double reach) {
+  std::set<std::pair<uint32_t, uint32_t>> out;
+  const auto n = static_cast<uint32_t>(pos.size());
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      if (box.distance2(pos[i], pos[j]) < reach * reach &&
+          !topo.is_excluded(i, j)) {
+        out.insert({i, j});
+      }
+    }
+  }
+  return out;
+}
+
 TEST(NeighborListTest, FindsExactlyTheBrutForcePairs) {
   auto spec = build_lj_fluid(216, 0.021, 3);
   double cutoff = 8.0, skin = 1.0;
   NeighborList list(spec.topology, cutoff, skin);
   list.build(spec.positions, spec.box);
 
-  std::set<std::pair<uint32_t, uint32_t>> brute;
-  double reach2 = (cutoff + skin) * (cutoff + skin);
-  for (uint32_t i = 0; i < 216; ++i) {
-    for (uint32_t j = i + 1; j < 216; ++j) {
-      if (spec.box.distance2(spec.positions[i], spec.positions[j]) < reach2) {
-        brute.insert({i, j});
-      }
-    }
-  }
+  const auto brute = brute_force_pairs(spec.topology, spec.positions,
+                                       spec.box, cutoff + skin);
   std::set<std::pair<uint32_t, uint32_t>> found;
   for (const auto& p : list.pairs()) found.insert({p.i, p.j});
   EXPECT_EQ(found, brute);
@@ -146,10 +160,9 @@ TEST(NeighborListTest, SkinCheckEarlyOutKeepsRebuildDecision) {
   EXPECT_GE(hot_hits.value() - hot0, 3u);
 }
 
-// The blocked cluster-pair list is a re-layout of the flat pair list: the
-// tile masks must decode to EXACTLY the same {i, j} set, padding slots must
-// never carry mask bits, and the bookkeeping (real_pairs, fill ratio,
-// shift codes) must be consistent.
+// The cluster-pair tiles must decode to EXACTLY the brute-force {i, j}
+// set, padding slots must never carry mask bits, and the bookkeeping
+// (real_pairs, fill ratio) must be consistent.
 TEST(NeighborListTest, ClusterTilesEncodeExactlyTheFlatPairs) {
   auto spec = build_lj_fluid(343, 0.021, 5);
   NeighborList list(spec.topology, 8.0, 1.5, /*cluster_mode=*/true);
@@ -160,8 +173,8 @@ TEST(NeighborListTest, ClusterTilesEncodeExactlyTheFlatPairs) {
   ASSERT_EQ(cl.slot_types.size(), cl.atoms.size());
   ASSERT_EQ(cl.slot_charges.size(), cl.atoms.size());
 
-  std::set<std::pair<uint32_t, uint32_t>> flat;
-  for (const auto& p : list.pairs()) flat.insert({p.i, p.j});
+  const auto flat =
+      brute_force_pairs(spec.topology, spec.positions, spec.box, 8.0 + 1.5);
 
   std::set<std::pair<uint32_t, uint32_t>> decoded;
   size_t bits_total = 0;
@@ -169,7 +182,6 @@ TEST(NeighborListTest, ClusterTilesEncodeExactlyTheFlatPairs) {
     // The i-side slot base never exceeds the j-group's last slot (the lower
     // slot of each pair takes the i side).
     ASSERT_LE(e.ci * cl.width, e.cj * ff::kClusterJWidth + 3);
-    ASSERT_LT(e.shift, 27) << "shift code out of range";
     for (uint64_t m = e.mask; m != 0; m &= m - 1) {
       const unsigned bit = static_cast<unsigned>(std::countr_zero(m));
       const uint32_t i = cl.atoms[e.ci * cl.width + (bit >> 2)];
@@ -185,6 +197,201 @@ TEST(NeighborListTest, ClusterTilesEncodeExactlyTheFlatPairs) {
   EXPECT_EQ(cl.real_pairs, flat.size());
   EXPECT_GT(cl.fill_ratio(), 0.0);
   EXPECT_LE(cl.fill_ratio(), 1.0);
+}
+
+/// The tile list by a test-local O(N^2) construction: the fine-grid slot
+/// order (cells of edge >= cbrt(8 V / N), cell-major z, y, x, ascending atom
+/// within a cell, padded to whole 8-slot clusters), every brute-force pair
+/// placed as bit (a * 4 + b) of tile (lower slot / 8, upper slot / 4), the
+/// tiles keyed and sorted.
+struct ReferenceTiles {
+  std::vector<uint32_t> atoms;
+  std::vector<std::tuple<uint32_t, uint32_t, uint64_t>> entries;
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  size_t active_rows = 0;
+};
+
+ReferenceTiles reference_tiles(const Topology& topo,
+                               std::span<const Vec3> pos, const Box& box,
+                               double reach) {
+  ReferenceTiles ref;
+  const size_t n = pos.size();
+  const Vec3 edges = box.edges();
+  const double cell = std::max(
+      std::cbrt(box.volume() * 8.0 / std::max<double>(1.0, n)), 1e-6);
+  int dims[3];
+  for (int ax = 0; ax < 3; ++ax) {
+    dims[ax] = std::max(1, static_cast<int>(edges[ax] / cell));
+  }
+  std::vector<std::pair<size_t, uint32_t>> keyed;  // (cell, atom)
+  for (uint32_t i = 0; i < n; ++i) {
+    const Vec3 w = box.wrap(pos[i]);
+    size_t key = 0;
+    for (int ax = 2; ax >= 0; --ax) {
+      const int c = std::clamp(
+          static_cast<int>(w[ax] / edges[ax] * dims[ax]), 0, dims[ax] - 1);
+      key = key * static_cast<size_t>(dims[ax]) + static_cast<size_t>(c);
+    }
+    keyed.emplace_back(key, i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  ref.atoms.assign((n + 7) / 8 * 8, ff::kPadAtom);
+  std::vector<uint32_t> slot_of(n);
+  for (size_t s = 0; s < n; ++s) {
+    ref.atoms[s] = keyed[s].second;
+    slot_of[keyed[s].second] = static_cast<uint32_t>(s);
+  }
+  const auto pairs = brute_force_pairs(topo, pos, box, reach);
+  ref.pairs.assign(pairs.begin(), pairs.end());
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> tiles;
+  for (const auto& [i, j] : pairs) {
+    const uint32_t lo = std::min(slot_of[i], slot_of[j]);
+    const uint32_t hi = std::max(slot_of[i], slot_of[j]);
+    tiles[{lo / 8, hi / 4}] |= uint64_t{1} << ((lo % 8) * 4 + hi % 4);
+  }
+  for (const auto& [key, mask] : tiles) {
+    ref.entries.emplace_back(key.first, key.second, mask);
+    for (uint32_t a = 0; a < 8; ++a) {
+      if ((mask >> (4 * a)) & 0xf) ++ref.active_rows;
+    }
+  }
+  return ref;
+}
+
+void expect_matches_reference(const Topology& topo,
+                              std::span<const Vec3> pos, const Box& box,
+                              double cutoff, double skin) {
+  const ReferenceTiles ref = reference_tiles(topo, pos, box, cutoff + skin);
+  ASSERT_FALSE(ref.entries.empty());
+  for (size_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    auto runtime = util::TaskRuntime::create(lanes);
+    NeighborList list(topo, cutoff, skin, /*cluster_mode=*/true);
+    list.set_execution(runtime);
+    list.build(pos, box);
+    const ff::ClusterPairList& cl = list.clusters();
+    EXPECT_EQ(cl.atoms, ref.atoms);
+    ASSERT_EQ(cl.slot_types.size(), ref.atoms.size());
+    ASSERT_EQ(cl.slot_charges.size(), ref.atoms.size());
+    for (size_t s = 0; s < ref.atoms.size(); ++s) {
+      const uint32_t atom = ref.atoms[s];
+      const bool pad = atom == ff::kPadAtom;
+      EXPECT_EQ(cl.slot_types[s], pad ? 0u : topo.type_ids()[atom]) << s;
+      EXPECT_EQ(cl.slot_charges[s], pad ? 0.0 : topo.charges()[atom]) << s;
+    }
+    std::vector<std::tuple<uint32_t, uint32_t, uint64_t>> entries;
+    for (const auto& e : cl.entries) entries.emplace_back(e.ci, e.cj, e.mask);
+    EXPECT_EQ(entries, ref.entries);
+    EXPECT_EQ(cl.real_pairs, ref.pairs.size());
+    EXPECT_EQ(cl.active_rows, ref.active_rows);
+
+    NeighborList pair_list(topo, cutoff, skin, /*cluster_mode=*/false);
+    pair_list.set_execution(runtime);
+    pair_list.build(pos, box);
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    for (const auto& p : pair_list.pairs()) pairs.emplace_back(p.i, p.j);
+    EXPECT_EQ(pairs, ref.pairs);
+  }
+}
+
+// The cluster search against the O(N^2) reference, entry for entry, at 1
+// and 4 lanes: exclusions (rigid water, virtual sites, 1-4 pairs), a box
+// only 2 reach cells wide, a non-cubic box, empty grid cells, and positions
+// shifted by whole box edges, negative, and on fine-grid cell boundaries.
+TEST(NeighborListTest, TilesMatchBruteForceReference) {
+  {
+    SCOPED_TRACE("rigid3 water");
+    auto spec = build_water_box(216, WaterModel::kRigid3Site, 5);
+    expect_matches_reference(spec.topology, spec.positions, spec.box, 6.0,
+                             1.5);
+  }
+  {
+    SCOPED_TRACE("rigid4 water");
+    auto spec = build_water_box(216, WaterModel::kRigid4Site, 5);
+    expect_matches_reference(spec.topology, spec.positions, spec.box, 6.0,
+                             1.0);
+  }
+  {
+    SCOPED_TRACE("polymer in solvent");
+    auto spec = build_polymer_in_solvent(20, 125);
+    ASSERT_FALSE(spec.topology.pairs14().empty());
+    expect_matches_reference(spec.topology, spec.positions, spec.box, 8.0,
+                             1.0);
+  }
+  auto lj = build_lj_fluid(512, 0.021, 3);
+  {
+    SCOPED_TRACE("512-atom LJ, 2 reach cells per axis");
+    ASSERT_LT(lj.box.min_edge() / (8.5 + 2.0), 3.0);
+    expect_matches_reference(lj.topology, lj.positions, lj.box, 8.5, 2.0);
+  }
+  {
+    SCOPED_TRACE("non-cubic box");
+    const Vec3 s{1.3, 0.95, 1.1};
+    const Vec3 e = lj.box.edges();
+    const Box box(e.x * s.x, e.y * s.y, e.z * s.z);
+    auto pos = lj.positions;
+    for (auto& p : pos) p = Vec3{p.x * s.x, p.y * s.y, p.z * s.z};
+    expect_matches_reference(lj.topology, pos, box, 7.0, 1.5);
+  }
+  {
+    SCOPED_TRACE("atoms in one half of the box, empty cells in the other");
+    auto pos = lj.positions;
+    for (auto& p : pos) p.x = lj.box.wrap(p).x * 0.5;
+    expect_matches_reference(lj.topology, pos, lj.box, 8.5, 2.0);
+  }
+  {
+    SCOPED_TRACE("shifted, negative and cell-boundary positions");
+    const Vec3 e = lj.box.edges();
+    const double cell = e.x / 4.0;  // 512 atoms at 8 per cell: 4 per axis
+    auto pos = lj.positions;
+    for (size_t i = 0; i < pos.size(); ++i) {
+      const double k = static_cast<double>(static_cast<int>(i % 7) - 3);
+      pos[i] += Vec3{k * e.x, -k * e.y, (i % 2 ? 2.0 : -1.0) * e.z};
+      if (i % 5 == 0) pos[i].x = std::round(pos[i].x / cell) * cell;
+      if (i % 11 == 0) pos[i].y = 0.0;
+      if (i % 13 == 0) pos[i].z = -e.z;
+    }
+    expect_matches_reference(lj.topology, pos, lj.box, 8.5, 2.0);
+  }
+}
+
+// A NaN, infinite or astronomically far coordinate is binned by a clamped
+// cell index (no undefined integer cast), and the corrupt atom takes part
+// in no pair; the list stays identical at 1 and 4 lanes.
+TEST(NeighborListTest, CorruptCoordinateBuildsIdenticallyAtAnyLaneCount) {
+  auto spec = build_water_box(216, WaterModel::kRigid3Site, 5);
+  auto pos = spec.positions;
+  const std::set<uint32_t> corrupt = {7, 100, 200, 300};
+  pos[7].x = std::numeric_limits<double>::quiet_NaN();
+  pos[100].y = 1e300;
+  pos[200].z = -1e300;
+  pos[300].x = std::numeric_limits<double>::infinity();
+
+  NeighborList serial(spec.topology, 6.0, 1.5, /*cluster_mode=*/true);
+  serial.build(pos, spec.box);
+  NeighborList parallel(spec.topology, 6.0, 1.5, /*cluster_mode=*/true);
+  parallel.set_execution(util::TaskRuntime::create(4));
+  parallel.build(pos, spec.box);
+
+  const auto& a = serial.clusters();
+  const auto& b = parallel.clusters();
+  EXPECT_EQ(a.atoms, b.atoms);
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  ASSERT_FALSE(a.entries.empty());
+  for (size_t k = 0; k < a.entries.size(); ++k) {
+    EXPECT_EQ(a.entries[k].ci, b.entries[k].ci);
+    EXPECT_EQ(a.entries[k].cj, b.entries[k].cj);
+    EXPECT_EQ(a.entries[k].mask, b.entries[k].mask);
+  }
+  EXPECT_EQ(a.real_pairs, b.real_pairs);
+  EXPECT_EQ(a.active_rows, b.active_rows);
+  for (const auto& e : a.entries) {
+    for (uint64_t m = e.mask; m != 0; m &= m - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(m));
+      EXPECT_FALSE(corrupt.count(a.atoms[e.ci * a.width + bit / 4]));
+      EXPECT_FALSE(corrupt.count(a.atoms[e.cj * 4 + bit % 4]));
+    }
+  }
 }
 
 TEST(NeighborListTest, RejectsCutoffLargerThanHalfBox) {
@@ -466,12 +673,17 @@ TEST(SimulationTest, PotentialEnergyMatchesCurrentEnergy) {
   water_model.electrostatics = ff::Electrostatics::kEwaldReal;
   water_model.ewald_beta = 0.4;
 
-  for (auto [spec, model] : {std::pair{&lj, lj_model},
-                             std::pair{&water, water_model}}) {
+  for (auto [spec, model, kernel] :
+       {std::tuple{&lj, lj_model, ff::NonbondedKernel::kCluster},
+        std::tuple{&water, water_model, ff::NonbondedKernel::kCluster},
+        std::tuple{&water, water_model, ff::NonbondedKernel::kPair}}) {
     SCOPED_TRACE(testing::Message() << spec->topology.atom_count()
-                                    << " atoms");
+                                    << " atoms, " << ff::to_string(kernel)
+                                    << " kernel");
     ForceField field(spec->topology, model);
-    Simulation sim(field, spec->positions, spec->box, nve_config(1.0));
+    SimulationConfig cfg = nve_config(1.0);
+    cfg.nonbonded_kernel = kernel;
+    Simulation sim(field, spec->positions, spec->box, cfg);
     for (int round = 0; round < 2; ++round) {
       EXPECT_EQ(md::potential_energy(field, sim.state().positions,
                                      sim.state().box, sim.state().time),

@@ -132,15 +132,37 @@ TEST(ParallelDeterminism, NeighborListPairsMatchSerialBuild) {
   auto spec = build_polymer_in_solvent(20, 125);
   md::NeighborList serial(spec.topology, 8.0, 1.0);
   serial.build(spec.positions, spec.box);
+  md::NeighborList serial_tiles(spec.topology, 8.0, 1.0,
+                                /*cluster_mode=*/true);
+  serial_tiles.build(spec.positions, spec.box);
+  const ff::ClusterPairList& want = serial_tiles.clusters();
+  ASSERT_FALSE(want.entries.empty());
 
-  md::NeighborList parallel(spec.topology, 8.0, 1.0);
-  parallel.set_execution(util::TaskRuntime::create(4));
-  parallel.build(spec.positions, spec.box);
+  for (size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    auto runtime = util::TaskRuntime::create(lanes);
+    md::NeighborList parallel(spec.topology, 8.0, 1.0);
+    parallel.set_execution(runtime);
+    parallel.build(spec.positions, spec.box);
+    ASSERT_EQ(serial.pairs().size(), parallel.pairs().size());
+    for (size_t k = 0; k < serial.pairs().size(); ++k) {
+      EXPECT_EQ(serial.pairs()[k].i, parallel.pairs()[k].i);
+      EXPECT_EQ(serial.pairs()[k].j, parallel.pairs()[k].j);
+    }
 
-  ASSERT_EQ(serial.pairs().size(), parallel.pairs().size());
-  for (size_t k = 0; k < serial.pairs().size(); ++k) {
-    EXPECT_EQ(serial.pairs()[k].i, parallel.pairs()[k].i);
-    EXPECT_EQ(serial.pairs()[k].j, parallel.pairs()[k].j);
+    md::NeighborList tiles(spec.topology, 8.0, 1.0, /*cluster_mode=*/true);
+    tiles.set_execution(runtime);
+    tiles.build(spec.positions, spec.box);
+    const ff::ClusterPairList& got = tiles.clusters();
+    EXPECT_EQ(got.atoms, want.atoms);
+    ASSERT_EQ(got.entries.size(), want.entries.size());
+    for (size_t k = 0; k < want.entries.size(); ++k) {
+      EXPECT_EQ(got.entries[k].ci, want.entries[k].ci);
+      EXPECT_EQ(got.entries[k].cj, want.entries[k].cj);
+      EXPECT_EQ(got.entries[k].mask, want.entries[k].mask);
+    }
+    EXPECT_EQ(got.real_pairs, want.real_pairs);
+    EXPECT_EQ(got.active_rows, want.active_rows);
   }
 }
 

@@ -165,7 +165,7 @@ MachineEval evaluate_water(const SystemSpec& spec, ForceField& field, int n,
   md::NeighborList list(spec.topology, field.model().cutoff, 1.0, true);
   positions = spec.positions;
   list.build(positions, spec.box);
-  engine.redistribute(positions, spec.box, list.pairs(), &list.clusters());
+  engine.redistribute(positions, spec.box, {}, &list.clusters());
   MachineEval e{ForceResult(spec.topology.atom_count()),
                 ForceResult(spec.topology.atom_count()), {}};
   e.work = engine.evaluate(positions, spec.box, 0.0, true, e.out,
