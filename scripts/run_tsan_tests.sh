@@ -18,7 +18,8 @@ cmake --build --preset tsan -j "$(nproc)"
 # many supervised engines over one shared worker pool.  ewald_test runs the
 # GSE stage DAG on 2-8 lanes (slab-owned spreading, per-atom interpolation)
 # and fft_test the plane/column kernels those stages fan out over.
-FILTER="${1:-obs_test|profile_test|util_test|graph_determinism_test|md_test|runtime_test|sampling_test|parallel_determinism_test|supervisor_test|fault_test|fleet_test|simd_kernel_test|ewald_test|fft_test}"
+# mshake_test runs the constraint solver's cluster chunks on 1-8 lanes.
+FILTER="${1:-obs_test|profile_test|util_test|graph_determinism_test|md_test|mshake_test|runtime_test|sampling_test|parallel_determinism_test|supervisor_test|fault_test|fleet_test|simd_kernel_test|ewald_test|fft_test}"
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
   ctest --test-dir build-tsan -R "$FILTER" --output-on-failure

@@ -15,6 +15,7 @@
 #include "ff/forcefield.hpp"
 #include "md/neighbor.hpp"
 #include "md/state.hpp"
+#include "util/task_graph.hpp"
 
 namespace antmd::md {
 
@@ -54,6 +55,9 @@ class ForceProvider {
   virtual void compute(State& state, const ForceRequest& request,
                        ForceResult& out, ForceResult& kspace_cache) = 0;
   [[nodiscard]] virtual const NeighborList& neighbor_list() const = 0;
+  /// The worker pool the provider evaluates on; the integrator's constraint
+  /// stage fans out over it too.  Never null.
+  [[nodiscard]] virtual util::TaskRuntime* runtime() const = 0;
 };
 
 }  // namespace antmd::md

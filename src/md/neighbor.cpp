@@ -21,6 +21,8 @@ static_assert(kWidth == 2 * kJWidth, "an i-cluster spans two j-groups");
 /// per build.  A function of the cluster count alone.
 constexpr size_t kMinChunkClusters = 16;
 constexpr size_t kMaxChunks = 64;
+/// Pair-mode sort chunks: at least this many atoms' pair runs each.
+constexpr size_t kMinChunkAtoms = 256;
 
 /// An atom this many box edges outside the primary cell (or not finite) is
 /// corrupt: it keeps its slot but takes part in no pair.
@@ -424,29 +426,65 @@ void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
 
 void NeighborList::decode_pairs(size_t atom_count) {
   const ff::ClusterPairList& cl = clusters_;
-  pairs_.clear();
-  pairs_.reserve(cl.real_pairs);
-  for (const ff::ClusterPairEntry& e : cl.entries) {
-    for (uint64_t m = e.mask; m != 0; m &= m - 1) {
-      const auto bit = static_cast<uint32_t>(std::countr_zero(m));
-      const uint32_t i = cl.atoms[e.ci * kWidth + bit / kJWidth];
-      const uint32_t j = cl.atoms[e.cj * kJWidth + bit % kJWidth];
-      pairs_.push_back({std::min(i, j), std::max(i, j)});
+  auto for_each_pair = [&cl](auto&& fn) {
+    for (const ff::ClusterPairEntry& e : cl.entries) {
+      for (uint64_t m = e.mask; m != 0; m &= m - 1) {
+        const auto bit = static_cast<uint32_t>(std::countr_zero(m));
+        const uint32_t i = cl.atoms[e.ci * kWidth + bit / kJWidth];
+        const uint32_t j = cl.atoms[e.cj * kJWidth + bit % kJWidth];
+        fn(std::min(i, j), std::max(i, j));
+      }
     }
-  }
-  // Two stable counting passes, by j into a scratch copy and then by i back
-  // into pairs_, leave the pairs in (i, j) order with two copies alive.
-  auto scatter = [atom_count](const std::vector<ff::PairEntry>& in,
-                              std::vector<ff::PairEntry>& out, auto key) {
-    std::vector<size_t> at(atom_count + 1, 0);
-    for (const ff::PairEntry& p : in) ++at[key(p) + 1];
-    std::partial_sum(at.begin(), at.end(), at.begin());
-    out.resize(in.size());
-    for (const ff::PairEntry& p : in) out[at[key(p)]++] = p;
   };
-  std::vector<ff::PairEntry> by_j;
-  scatter(pairs_, by_j, [](const ff::PairEntry& p) { return p.j; });
-  scatter(by_j, pairs_, [](const ff::PairEntry& p) { return p.i; });
+  // Count each atom's pairs and scatter them into its run of pairs_, so
+  // only one flat copy is ever alive.
+  std::vector<size_t> start(atom_count + 1, 0);
+  for_each_pair([&](uint32_t i, uint32_t) { ++start[i + 1]; });
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  pairs_.resize(start.back());
+  {
+    std::vector<size_t> at(start.begin(), start.end() - 1);
+    for_each_pair([&](uint32_t i, uint32_t j) { pairs_[at[i]++] = {i, j}; });
+  }
+
+  // Then sort each chunk of consecutive runs by (i, j), in cache: stable
+  // counting passes by the bytes of j, lowest first, and a last one into
+  // the runs by i.  The pairs are unique, so any (i, j) sort gives the same
+  // bytes.
+  const int j_bytes = (std::bit_width(atom_count) + 7) / 8;
+  const util::ChunkPlan plan =
+      util::plan_chunks(atom_count, kMinChunkAtoms, kMaxChunks);
+  auto sort_chunk = [&](size_t chunk) {
+    const size_t a0 = plan.begin(chunk);
+    const size_t a1 = plan.end(chunk);
+    ff::PairEntry* const block = pairs_.data() + start[a0];
+    const size_t n = start[a1] - start[a0];
+    std::vector<ff::PairEntry> scratch(n);
+    ff::PairEntry* from = block;
+    ff::PairEntry* to = scratch.data();
+    auto digit = [](const ff::PairEntry& p, int b) {
+      return (p.j >> (8 * b)) & 0xffu;
+    };
+    std::vector<size_t> at(256 * static_cast<size_t>(j_bytes), 0);
+    for (size_t k = 0; k < n; ++k) {
+      for (int b = 0; b < j_bytes; ++b) ++at[256 * b + digit(from[k], b)];
+    }
+    for (int b = 0; b < j_bytes; ++b) {
+      size_t* next = at.data() + 256 * b;
+      std::exclusive_scan(next, next + 256, next, size_t{0});
+      for (size_t k = 0; k < n; ++k) to[next[digit(from[k], b)]++] = from[k];
+      std::swap(from, to);
+    }
+    std::vector<size_t> next(a1 - a0);
+    for (size_t a = a0; a < a1; ++a) next[a - a0] = start[a] - start[a0];
+    for (size_t k = 0; k < n; ++k) to[next[from[k].i - a0]++] = from[k];
+    if (to != block) std::copy(to, to + n, block);
+  };
+  if (runtime_ && plan.chunks > 1) {
+    runtime_->parallel_for(plan.chunks, sort_chunk);
+  } else {
+    for (size_t c = 0; c < plan.chunks; ++c) sort_chunk(c);
+  }
 }
 
 bool NeighborList::needs_rebuild(std::span<const Vec3> positions,

@@ -179,6 +179,9 @@ class StepGraphForces final : public ForceProvider {
   [[nodiscard]] const NeighborList& neighbor_list() const override {
     return nlist_;
   }
+  [[nodiscard]] util::TaskRuntime* runtime() const override {
+    return runtime_.get();
+  }
 
  private:
   ForceField* ff_;
@@ -280,7 +283,8 @@ void Simulation::drift_and_constrain(double dt) {
     obs::TracePhase phase("md.constraints", "md",
                           &md_metrics().constraints_ns);
     constraints_.apply_positions(scratch_before_, state_.positions,
-                                 state_.velocities, dt, state_.box);
+                                 state_.velocities, dt, state_.box,
+                                 provider_->runtime());
   }
 }
 
@@ -288,7 +292,7 @@ void Simulation::constrain_velocities() {
   if (constraints_.empty()) return;
   obs::TracePhase phase("md.constraints", "md", &md_metrics().constraints_ns);
   constraints_.apply_velocities(state_.positions, state_.velocities,
-                                state_.box);
+                                state_.box, provider_->runtime());
 }
 
 void Simulation::advance_verlet(bool kspace_due) {

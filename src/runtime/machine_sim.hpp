@@ -59,6 +59,9 @@ class MachineForces final : public md::ForceProvider {
   [[nodiscard]] const md::NeighborList& neighbor_list() const override {
     return nlist_;
   }
+  [[nodiscard]] util::TaskRuntime* runtime() const override {
+    return engine_.runtime().get();
+  }
 
  private:
   friend class MachineSimulation;

@@ -436,6 +436,35 @@ TEST(Constraints, RattleRemovesRelativeVelocity) {
   }
 }
 
+// A NaN coordinate is a violation, not a converged constraint: every stage
+// throws instead of spreading it, on the calling thread and from a worker.
+TEST(ConstraintSolver, NanCoordinateIsAViolation) {
+  // 216 clusters make several chunks, so 4 lanes fan out.
+  auto spec = build_water_box(216, WaterModel::kRigid3Site);
+  std::vector<Vec3> poisoned = spec.positions;
+  poisoned[601].x = std::numeric_limits<double>::quiet_NaN();
+  const md::ConstraintSolver shake(spec.topology);
+  const md::ConstraintSolver mshake(spec.topology, 1e-8, 500,
+                                    md::ConstraintAlgorithm::kMShake);
+  EXPECT_TRUE(std::isnan(shake.max_violation(poisoned, spec.box)));
+  for (size_t lanes : {1, 4}) {
+    auto runtime = util::TaskRuntime::create(lanes);
+    for (const md::ConstraintSolver* solver : {&shake, &mshake}) {
+      std::vector<Vec3> pos = poisoned;
+      std::vector<Vec3> vel(pos.size(), Vec3{});
+      EXPECT_THROW(solver->apply_positions(spec.positions, pos, vel, 0.01,
+                                           spec.box, runtime.get()),
+                   NumericalError)
+          << lanes << " lanes";
+    }
+    std::vector<Vec3> vel(poisoned.size(), Vec3{0.01, -0.02, 0.03});
+    EXPECT_THROW(
+        shake.apply_velocities(poisoned, vel, spec.box, runtime.get()),
+        NumericalError)
+        << lanes << " lanes";
+  }
+}
+
 TEST(StateTest, InitVelocitiesHitTargetTemperature) {
   auto spec = build_lj_fluid(216, 0.021, 11);
   State state;
